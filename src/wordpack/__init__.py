@@ -43,9 +43,7 @@ from .search import (
     SearchBudget,
     SearchResult,
     SeriesReport,
-    SeriesRow,
     canonical_count,
-    delta_exact,
     delta_series,
     enumerate_canonical,
     max_count,
@@ -124,14 +122,12 @@ __all__ = [
     # search
     "SearchBudget",
     "SearchResult",
-    "SeriesRow",
     "SeriesReport",
     "surjection_count",
     "canonical_count",
     "enumerate_canonical",
     "max_count",
     "max_count_by_alphabet",
-    "delta_exact",
     "delta_series",
     "verify_perm_restriction",
     "verify_tiebreak_map",

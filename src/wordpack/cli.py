@@ -5,8 +5,9 @@ JSON output is a versioned envelope {"schema", "command", "config",
 "result", "stats"} serialized with sorted keys, so identical configurations
 produce byte-identical output.  Exact rationals appear as {"num", "den",
 "decimal"}; CSV uses the decimal rendering only.  Node counters live only
-in the stats object, which is excluded from the determinism contract: every
-result field is identical whatever the thread count.
+in the stats object, which is excluded from the determinism contract.
+``--threads`` and ``WORDPACK_THREADS`` are validated but have no effect:
+every search runs its shards one after another in the calling thread.
 
 Exit codes: 0 success; 1 usage error; 2 budget exhausted (results still
 emitted); 3 internal invariant failure (always a bug).
@@ -27,6 +28,7 @@ from .core import (
     ParseError,
     Pattern,
     Word,
+    blocks,
     format_pattern,
     format_word,
     layered_decompose,
@@ -38,6 +40,7 @@ from .count import density as exact_density
 from .density import (
     DensityRouteError,
     DensityValue,
+    _pqr_shape,
     asymptotic_density,
     gen_layered_density,
     k1_density,
@@ -60,6 +63,7 @@ from .construct import (
 )
 from .search import (
     SearchBudget,
+    delta_series,
     max_count,
     verify_layered_witness,
     verify_perm_restriction,
@@ -322,19 +326,6 @@ def _cmd_count(config: RunConfig) -> Tuple[int, _Report]:
     return EXIT_OK, report
 
 
-def _match_blocks(letters: Tuple[int, ...]) -> Optional[List[Tuple[int, int]]]:
-    """Run-length encode letters as (value, length) blocks."""
-    if not letters:
-        return None
-    out: List[Tuple[int, int]] = []
-    for v in letters:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return out
-
-
 def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
     route = config.route
     if route == "auto":
@@ -366,39 +357,26 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
             if shape is not None:
                 return simple_layered_density(shape)
         raise DensityRouteError(f"{format_pattern(p)} is not layered")
-    if route == "single-rise":
+    if route in ("single-rise", "two-block"):
         for q in candidates:
-            blocks_rl = _match_blocks(q.letters)
-            if (
-                blocks_rl is not None
-                and len(blocks_rl) == 2
-                and blocks_rl[0][0] == 1
-                and blocks_rl[1] == (2, 1)
-            ):
-                return k1_density(blocks_rl[0][1])
+            try:
+                mult = blocks(q)
+            except ValueError:  # not monotone nondecreasing
+                continue
+            if route == "two-block" and len(mult) == 2:
+                return r_s_density(*mult)
+            if route == "single-rise" and len(mult) == 2 and mult[1] == 1:
+                return k1_density(mult[0])
+        if route == "two-block":
+            raise DensityRouteError(f"{format_pattern(p)} is not a two-block pattern")
         raise DensityRouteError(
             f"{format_pattern(p)} is not a block of equal letters plus one rise"
         )
-    if route == "two-block":
-        for q in candidates:
-            blocks_rl = _match_blocks(q.letters)
-            if (
-                blocks_rl is not None
-                and len(blocks_rl) == 2
-                and blocks_rl[0][0] == 1
-                and blocks_rl[1][0] == 2
-            ):
-                return r_s_density(blocks_rl[0][1], blocks_rl[1][1])
-        raise DensityRouteError(f"{format_pattern(p)} is not a two-block pattern")
     if route == "three-block":
         for q in candidates:
-            blocks_rl = _match_blocks(q.letters)
-            if (
-                blocks_rl is not None
-                and len(blocks_rl) == 3
-                and [b[0] for b in blocks_rl] == [1, 2, 1]
-            ):
-                return pqr_density(blocks_rl[0][1], blocks_rl[2][1], blocks_rl[1][1])
+            pqr = _pqr_shape(q.letters)
+            if pqr is not None:
+                return pqr_density(*pqr)
         raise DensityRouteError(
             f"{format_pattern(p)} is not a low-high-low three-block pattern"
         )
@@ -475,28 +453,28 @@ def _search_row(res) -> List[object]:
     ]
 
 
+def _no_word(result: Dict[str, object], exc: RuntimeError) -> Tuple[int, _Report]:
+    """A budget that completed no word: exit 2 with an inconclusive result."""
+    report = _Report()
+    report.result = dict(result, completed=False, error=str(exc), exhaustive=False)
+    report.stats = {"nodes": None}
+    report.row("error", str(exc))
+    report.row("exhaustive", "false")
+    return EXIT_BUDGET, report
+
+
 def _cmd_search(config: RunConfig) -> Tuple[int, _Report]:
     if config.pattern is None or config.k is None or config.n is None:
         raise UsageError("search requires -p/--pattern, -k and -n")
     p = parse_pattern(config.pattern)
     budget = _budget(config)
     threads = _resolve_threads(config)
-    report = _Report()
     try:
         res = max_count(p, config.k, config.n, budget, threads)
     except RuntimeError as exc:
-        report.result = {
-            "pattern": format_pattern(p),
-            "k": config.k,
-            "n": config.n,
-            "completed": False,
-            "error": str(exc),
-            "exhaustive": False,
-        }
-        report.stats = {"nodes": None}
-        report.row("error", str(exc))
-        report.row("exhaustive", "false")
-        return EXIT_BUDGET, report
+        head = {"pattern": format_pattern(p), "k": config.k, "n": config.n}
+        return _no_word(head, exc)
+    report = _Report()
     report.result = {
         "pattern": format_pattern(p),
         "k": res.k,
@@ -532,17 +510,17 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
         )
     budget = _budget(config)
     threads = _resolve_threads(config)
-    results = []
-    for n in range(lo, hi + 1):
-        k_eff = config.k if config.k is not None else n
-        results.append(max_count(p, k_eff, n, budget, threads))
-    violations = [
-        [a.n, b.n] for a, b in zip(results, results[1:]) if b.density > a.density
-    ]
+    k_policy = "fixed" if config.k is not None else "diagonal"
+    try:
+        series = delta_series(p, range(lo, hi + 1), config.k, budget, threads)
+    except RuntimeError as exc:
+        return _no_word({"pattern": format_pattern(p), "k_policy": k_policy}, exc)
+    rows = series.rows
+    violations = [list(pair) for pair in series.violations]
     report = _Report()
     report.result = {
         "pattern": format_pattern(p),
-        "k_policy": "fixed" if config.k is not None else "diagonal",
+        "k_policy": k_policy,
         "rows": [
             {
                 "n": r.n,
@@ -553,16 +531,16 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
                 "witness": format_word(r.witness),
                 "exhaustive": r.exhaustive,
             }
-            for r in results
+            for r in rows
         ],
         "nonincreasing": not violations,
         "violations": violations,
     }
     report.stats = {
-        "nodes_total": sum(r.nodes for r in results),
-        "nodes": [{"n": r.n, "nodes": r.nodes} for r in results],
+        "nodes_total": sum(r.nodes for r in rows),
+        "nodes": [{"n": r.n, "nodes": r.nodes} for r in rows],
     }
-    for r in results:
+    for r in rows:
         report.row(
             f"n={r.n} k={r.k}",
             f"mu={_frac_text(r.count)} delta={_frac_text(r.density)} "
@@ -571,8 +549,8 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
         )
     report.row("nonincreasing", _bool_text(not violations))
     report.csv_columns = list(_SEARCH_CSV_COLUMNS)
-    report.csv_rows = [_search_row(r) for r in results]
-    exhaustive = all(r.exhaustive for r in results)
+    report.csv_rows = [_search_row(r) for r in rows]
+    exhaustive = all(r.exhaustive for r in rows)
     return EXIT_OK if exhaustive else EXIT_BUDGET, report
 
 
@@ -930,7 +908,8 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-seconds", type=float, default=None,
                      help="stop after this much wall-clock time")
     sub.add_argument("--threads", type=int, default=None,
-                     help=f"worker threads (default ${THREADS_ENV} or 1)")
+                     help=f"accepted and validated (default ${THREADS_ENV} or 1) "
+                          "but has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

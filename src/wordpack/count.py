@@ -13,80 +13,126 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Pattern, WeightedPatternSet, Word, flatten
 
 
-def _prefix_steps(letters: Tuple[int, ...], l: int) -> Tuple[Tuple[int, bool, int, int], ...]:
-    """Per matched-prefix-length transition data: (next value, already
-    assigned, nearest assigned value below, nearest assigned value above).
-    Zero stands for no neighbor."""
-    steps = []
-    for j in range(len(letters)):
-        v = letters[j]
-        dom = set(letters[:j])
-        assigned = v in dom
-        lo = max((u for u in dom if u < v), default=0)
-        hi = min((u for u in dom if u > v), default=0)
-        steps.append((v, assigned, lo, hi))
-    return tuple(steps)
+class Automaton:
+    """Occurrence counter of one pattern over a word fed letter by letter.
 
+    A state (j, phi) means the first j pattern letters are matched, phi
+    being the partial monotone map from pattern values to word values
+    (0 for a value not yet assigned).  Free states may extend at any later
+    letter; hot states await an unhyphenated gap and must extend at the
+    very next letter or die.  ``count`` is the number of occurrences in the
+    letters fed so far; ``push`` feeds one letter and ``pop`` undoes the
+    last push, each returning the occurrences that letter completed.
+    """
 
-def _count_engine(letters: Tuple[int, ...], hyphens: frozenset, w: Word) -> int:
-    """Left-to-right scan; a state is (j, phi) where phi is the partial
-    monotone map from pattern values to word values built by the first j
-    matched letters.  States whose next gap is unhyphenated must extend at
-    the very next position or die."""
-    m = len(letters)
-    l = max(letters)
-    steps = _prefix_steps(letters, l)
-    phi0 = (0,) * l
-    free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, phi0): 1}
-    hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    total = 0
-    for x in w.letters:
-        new_hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        free_add = []
-        for pool in (free, hot):
-            for (j, phi), cnt in pool.items():
-                if j == m:
-                    continue
-                v, assigned, lo, hi = steps[j]
-                if assigned:
-                    if phi[v - 1] != x:
-                        continue
-                    phi2 = phi
-                else:
-                    if lo and phi[lo - 1] >= x:
-                        continue
-                    if hi and phi[hi - 1] <= x:
-                        continue
-                    phi2 = phi[: v - 1] + (x,) + phi[v:]
-                j2 = j + 1
-                if j2 == m:
-                    total += cnt
-                elif j2 in hyphens:
-                    free_add.append(((j2, phi2), cnt))
-                else:
-                    key = (j2, phi2)
-                    new_hot[key] = new_hot.get(key, 0) + cnt
-        for key, cnt in free_add:
-            free[key] = free.get(key, 0) + cnt
-        hot = new_hot
-    return total
+    __slots__ = ("m", "steps", "hyphens", "free", "hot", "count", "_undo")
+
+    def __init__(self, p: Pattern) -> None:
+        self.m = p.m
+        # per matched-prefix length: (next value, already assigned, nearest
+        # assigned value below, nearest assigned value above); 0 = none
+        steps = []
+        for j, v in enumerate(p.letters):
+            dom = set(p.letters[:j])
+            steps.append(
+                (
+                    v,
+                    v in dom,
+                    max((u for u in dom if u < v), default=0),
+                    min((u for u in dom if u > v), default=0),
+                )
+            )
+        self.steps = tuple(steps)
+        self.hyphens = p.hyphens
+        self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * p.l): 1}
+        self.hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        self.count = 0
+        self._undo: List[Tuple[list, dict, int]] = []
+
+    def push(self, x: int) -> int:
+        return self._run((x,), self._undo)
+
+    def pop(self) -> int:
+        log, hot, delta = self._undo.pop()
+        free = self.free
+        for key, prev in reversed(log):
+            if prev is None:
+                del free[key]
+            else:
+                free[key] = prev
+        self.hot = hot
+        self.count -= delta
+        return delta
+
+    def _run(self, letters: Sequence[int], undo: Optional[list]) -> int:
+        """Feed letters in order and return the occurrences they complete.
+        When undo is a list, one record per letter is appended to it for
+        pop; a one-shot count passes None and keeps no record."""
+        m = self.m
+        steps = self.steps
+        hyphens = self.hyphens
+        free = self.free
+        hot = self.hot
+        total = 0
+        for x in letters:
+            new_hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+            free_add = []
+            delta = 0
+            # j < m in every stored state: a completed match is counted,
+            # never stored
+            for pool in (free, hot):
+                for (j, phi), cnt in pool.items():
+                    v, assigned, lo, hi = steps[j]
+                    if assigned:
+                        if phi[v - 1] != x:
+                            continue
+                        phi2 = phi
+                    else:
+                        if lo and phi[lo - 1] >= x:
+                            continue
+                        if hi and phi[hi - 1] <= x:
+                            continue
+                        phi2 = phi[: v - 1] + (x,) + phi[v:]
+                    j2 = j + 1
+                    if j2 == m:
+                        delta += cnt
+                    elif j2 in hyphens:
+                        free_add.append(((j2, phi2), cnt))
+                    else:
+                        key = (j2, phi2)
+                        new_hot[key] = new_hot.get(key, 0) + cnt
+            if undo is None:
+                for key, cnt in free_add:
+                    free[key] = free.get(key, 0) + cnt
+            else:
+                log = []
+                for key, cnt in free_add:
+                    prev = free.get(key)
+                    log.append((key, prev))
+                    free[key] = cnt if prev is None else prev + cnt
+                undo.append((log, hot, delta))
+            hot = new_hot
+            total += delta
+        self.hot = hot
+        self.count += total
+        return total
 
 
 def count_generalized(p: Pattern, w: Word) -> int:
     """Occurrences of p in w honoring p's hyphen structure."""
-    return _count_engine(p.letters, p.hyphens, w)
+    return Automaton(p)._run(w.letters, None)
 
 
 def count_classical(p: Pattern, w: Word) -> int:
     """Occurrences of a classical pattern (every gap hyphenated)."""
     if not p.is_classical:
         raise ValueError(f"pattern {p} is not classical; use count_generalized")
-    return _count_engine(p.letters, p.hyphens, w)
+    return count_generalized(p, w)
 
 
 def weighted_count(ps: WeightedPatternSet, w: Word) -> Fraction:

@@ -5,11 +5,12 @@ Order-isomorphic words contain every pattern equally often, so all searches
 run over canonical words (distinct letters exactly {1..d}, d <= min(k, n)),
 one representative per isomorphism class.  Enumeration is lexicographic and
 the reported witness is always the lexicographically least maximizer, which
-makes results independent of sharding and thread count.
+makes results independent of sharding.
 
 Two engines sit behind max_count: an exhaustive vectorized sweep used when no
 node budget is given and the space is small enough, and a branch-and-bound
-depth-first search with incremental occurrence counters for budgeted runs.
+depth-first search that pushes and pops one occurrence automaton per
+pattern for budgeted runs.
 Both track the best word per alphabet-support size d, so one sweep of the
 n-letter space answers every k at once.
 """
@@ -27,7 +28,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import Pattern, WeightedPatternSet, Word, layered_decompose
-from .count import count_generalized, occurrence_denominator, tiebreak_permutation
+from .count import (
+    Automaton,
+    count_generalized,
+    occurrence_denominator,
+    tiebreak_permutation,
+)
 
 #: refuse exhaustive runs beyond this many candidate words unless budgeted
 EXHAUSTIVE_WORD_LIMIT = 8_000_000
@@ -44,32 +50,49 @@ def canonical_count(n: int, k: Optional[int] = None) -> int:
     return sum(surjection_count(n, d) for d in range(1, cap + 1))
 
 
-def enumerate_canonical(n: int, k: Optional[int] = None) -> Iterator[Word]:
-    """Canonical words of length n on at most k letters, lexicographically.
+def _next_letters(
+    n: int, cap: int, t: int, maxv: int, dcount: int, used: Sequence[int]
+) -> Iterator[Tuple[int, int, int]]:
+    """The letters x that may follow a canonical prefix of length t with
+    maximum maxv and dcount distinct letters (used[x] nonzero iff x
+    occurs), as (x, new maximum, new distinct count), in increasing order.
 
-    A prefix is extendable iff the letters missing below its maximum still
-    fit in the remaining slots, so each canonical word is produced once.
+    A prefix extends to a canonical word of length n on at most cap letters
+    iff the letters missing below its maximum still fit in the slots left,
+    so every canonical word is reached exactly once.
     """
-    cap = n if k is None else min(k, n)
-    if n == 0:
-        return
-    prefix = [0] * n
+    slots = n - t - 1
+    for x in range(1, cap + 1):
+        newmax = x if x > maxv else maxv
+        newd = dcount if used[x] else dcount + 1
+        if newmax - newd <= slots:
+            yield x, newmax, newd
+
+
+def _canonical_prefixes(n: int, cap: int, depth: int) -> Iterator[Word]:
+    """The distinct length-depth prefixes of the canonical words of length
+    n on at most cap letters, lexicographically."""
+    prefix = [0] * depth
+    used = [0] * (cap + 1)
 
     def rec(t: int, maxv: int, dcount: int) -> Iterator[Word]:
-        slots = n - t - 1
-        for x in range(1, cap + 1):
-            newmax = x if x > maxv else maxv
-            newd = dcount + (0 if x in prefix[:t] else 1)
-            if newmax - newd > slots:
-                continue
+        for x, newmax, newd in _next_letters(n, cap, t, maxv, dcount, used):
             prefix[t] = x
-            if t + 1 == n:
+            if t + 1 == depth:
                 yield Word(tuple(prefix), newmax)
             else:
+                used[x] += 1
                 yield from rec(t + 1, newmax, newd)
-        prefix[t] = 0
+                used[x] -= 1
 
-    yield from rec(0, 0, 0)
+    return rec(0, 0, 0)
+
+
+def enumerate_canonical(n: int, k: Optional[int] = None) -> Iterator[Word]:
+    """Canonical words of length n on at most k letters, lexicographically."""
+    if n == 0:
+        return iter(())
+    return _canonical_prefixes(n, n if k is None else min(k, n), n)
 
 
 @dataclass(frozen=True)
@@ -101,88 +124,6 @@ class SearchResult:
     exhaustive: bool
 
 
-class _IncrementalCounter:
-    """Occurrence counter supporting push/pop of word letters.
-
-    State (j, phi): first j pattern letters matched, phi the partial
-    monotone map from pattern values to word values.  States awaiting an
-    unhyphenated gap must extend at the next push or die.
-    """
-
-    __slots__ = ("m", "steps", "hyphens", "free", "hot", "count", "_undo")
-
-    def __init__(self, p: Pattern) -> None:
-        self.m = p.m
-        l = p.l
-        steps = []
-        for j in range(self.m):
-            v = p.letters[j]
-            dom = set(p.letters[:j])
-            steps.append(
-                (
-                    v,
-                    v in dom,
-                    max((u for u in dom if u < v), default=0),
-                    min((u for u in dom if u > v), default=0),
-                )
-            )
-        self.steps = steps
-        self.hyphens = p.hyphens
-        self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * l): 1}
-        self.hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self.count = 0
-        self._undo: List[Tuple[list, dict, int]] = []
-
-    def push(self, x: int) -> int:
-        new_hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        adds = []
-        delta = 0
-        m = self.m
-        for pool in (self.free, self.hot):
-            for (j, phi), cnt in pool.items():
-                if j == m:
-                    continue
-                v, assigned, lo, hi = self.steps[j]
-                if assigned:
-                    if phi[v - 1] != x:
-                        continue
-                    phi2 = phi
-                else:
-                    if lo and phi[lo - 1] >= x:
-                        continue
-                    if hi and phi[hi - 1] <= x:
-                        continue
-                    phi2 = phi[: v - 1] + (x,) + phi[v:]
-                j2 = j + 1
-                if j2 == m:
-                    delta += cnt
-                elif j2 in self.hyphens:
-                    adds.append(((j2, phi2), cnt))
-                else:
-                    key = (j2, phi2)
-                    new_hot[key] = new_hot.get(key, 0) + cnt
-        log = []
-        free = self.free
-        for key, cnt in adds:
-            log.append((key, free.get(key)))
-            free[key] = free.get(key, 0) + cnt
-        self._undo.append((log, self.hot, delta))
-        self.hot = new_hot
-        self.count += delta
-        return delta
-
-    def pop(self) -> None:
-        log, old_hot, delta = self._undo.pop()
-        free = self.free
-        for key, prev in reversed(log):
-            if prev is None:
-                del free[key]
-            else:
-                free[key] = prev
-        self.hot = old_hot
-        self.count -= delta
-
-
 def _normalize_weights(ps: WeightedPatternSet) -> Tuple[List[Tuple[Pattern, int]], int]:
     """Scale weights to integers; returns (entries, scale)."""
     scale = 1
@@ -209,14 +150,13 @@ class _Shard:
         max_nodes: Optional[int],
         deadline: Optional[float] = None,
     ) -> None:
-        self.entries = entries
         self.n = n
         self.cap = cap
         self.crem = crem
         self.wsum = wsum
         self.max_nodes = max_nodes
         self.deadline = deadline
-        self.counters = [_IncrementalCounter(p) for p, _ in entries]
+        self.automata = [Automaton(p) for p, _ in entries]
         self.weights = [w for _, w in entries]
         self.best: List[int] = [-1] * (cap + 1)
         self.bestw: List[Optional[Tuple[int, ...]]] = [None] * (cap + 1)
@@ -237,17 +177,16 @@ class _Shard:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.nodes -= 1
             raise _BudgetExceeded
-        for c, w in zip(self.counters, self.weights):
-            self.cur += w * c.push(x)
+        for a, w in zip(self.automata, self.weights):
+            self.cur += w * a.push(x)
         self.prefix.append(x)
         self.used[x] += 1
 
     def _pop(self) -> None:
         x = self.prefix.pop()
         self.used[x] -= 1
-        for c, w in zip(self.counters, self.weights):
-            self.cur -= w * c._undo[-1][2]
-            c.pop()
+        for a, w in zip(self.automata, self.weights):
+            self.cur -= w * a.pop()
 
     def run(self, prefix: Sequence[int]) -> None:
         maxv = 0
@@ -267,12 +206,7 @@ class _Shard:
 
     def _dfs(self, t: int, maxv: int, dcount: int) -> None:
         n = self.n
-        slots = n - t - 1
-        for x in range(1, self.cap + 1):
-            newmax = x if x > maxv else maxv
-            newd = dcount + (0 if self.used[x] else 1)
-            if newmax - newd > slots:
-                continue
+        for x, newmax, newd in _next_letters(n, self.cap, t, maxv, dcount, self.used):
             self._push(x)
             if t + 1 == n:
                 c = self.cur
@@ -282,87 +216,45 @@ class _Shard:
             else:
                 bound = self.cur + self.wsum * self.crem[t + 1]
                 dlo = max(newmax, 1)
-                dhi = min(self.cap, newd + slots)
+                dhi = min(self.cap, newd + n - t - 1)
                 floor = min(self.best[d] for d in range(dlo, dhi + 1))
                 if bound > floor:
                     self._dfs(t + 1, newmax, newd)
             self._pop()
 
 
-def _shard_plan(n: int, cap: int) -> List[Tuple[int, ...]]:
-    """Fixed list of canonical prefixes of depth min(2, n), lex ordered.
-    The plan depends only on (n, cap) so results never depend on the
-    worker pool."""
-    depth = min(2, n)
-    plan: List[Tuple[int, ...]] = []
-
-    def rec(pre: Tuple[int, ...], maxv: int, dcount: int) -> None:
-        if len(pre) == depth:
-            plan.append(pre)
-            return
-        t = len(pre)
-        slots = n - t - 1
-        for x in range(1, cap + 1):
-            newmax = x if x > maxv else maxv
-            newd = dcount + (0 if x in pre else 1)
-            if newmax - newd > slots:
-                continue
-            rec(pre + (x,), newmax, newd)
-
-    rec((), 0, 0)
-    return plan
-
-
 def _dfs_by_alphabet(
     ps: WeightedPatternSet,
     n: int,
     cap: int,
-    budget: Optional[SearchBudget],
-    threads: int,
+    budget: SearchBudget,
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
     m, b = ps.m, ps.b
     total = occurrence_denominator(m, b, n)
     crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
     wsum = sum(w for _, w in entries)
-    plan = _shard_plan(n, cap)
-    max_nodes = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
+    # a fixed lex-ordered list of root prefixes, so the node budget's split
+    # and the results depend only on (n, cap)
+    plan = [w.letters for w in _canonical_prefixes(n, cap, min(2, n))]
+    max_nodes = budget.max_nodes
+    max_seconds = budget.max_seconds
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    per_shard = None
+    per_shard: List[Optional[int]] = [None] * len(plan)
     if max_nodes is not None:
         per_shard = [max_nodes // len(plan)] * len(plan)
         for i in range(max_nodes % len(plan)):
             per_shard[i] += 1
 
-    def run(idx: int) -> _Shard:
-        shard = _Shard(
-            entries,
-            n,
-            cap,
-            crem,
-            wsum,
-            per_shard[idx] if per_shard else None,
-            deadline,
-        )
-        shard.run(plan[idx])
-        return shard
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(run, range(len(plan))))
-    else:
-        shards = [run(i) for i in range(len(plan))]
-
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     nodes = 0
     exhausted = False
-    for shard in shards:  # lex order of the plan keeps witnesses lex-least
+    for prefix, allowance in zip(plan, per_shard):
+        shard = _Shard(entries, n, cap, crem, wsum, allowance, deadline)
+        shard.run(prefix)
         nodes += shard.nodes
         exhausted = exhausted or shard.exhausted
-        for d in range(1, cap + 1):
+        for d in range(1, cap + 1):  # lex order of the plan keeps witnesses lex-least
             if shard.best[d] > perd.get(d, (-1, ()))[0]:
                 perd[d] = (shard.best[d], shard.bestw[d])
     return perd, nodes, not exhausted, scale
@@ -430,6 +322,34 @@ def _as_set(ps: Union[Pattern, WeightedPatternSet]) -> WeightedPatternSet:
     return WeightedPatternSet.single(ps) if isinstance(ps, Pattern) else ps
 
 
+def _by_alphabet(
+    ps: WeightedPatternSet, n: int, cap: int, budget: Optional[SearchBudget]
+) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
+    """(per-d best count and witness for d <= cap, nodes, exhaustive, weight
+    scale): the exhaustive vectorized sweep when no budget is given, branch
+    and bound otherwise."""
+    if n < ps.m:
+        raise ValueError(f"n={n} shorter than pattern length m={ps.m}")
+    if budget is None or not budget.bounded:
+        total = canonical_count(n, cap)
+        if total > EXHAUSTIVE_WORD_LIMIT:
+            raise ValueError(
+                f"exhaustive search over {total} words; supply a node budget"
+            )
+        return _vector_by_alphabet(ps, n, cap)
+    return _dfs_by_alphabet(ps, n, cap, budget)
+
+
+def _result(
+    ps: WeightedPatternSet, best: Tuple[int, Tuple[int, ...]], scale: int,
+    k: int, n: int, nodes: int, exhaustive: bool,
+) -> SearchResult:
+    cnt = Fraction(best[0], scale)
+    denom = occurrence_denominator(ps.m, ps.b, n)
+    witness = Word(best[1], max(best[1]))
+    return SearchResult(cnt, denom, cnt / denom, witness, k, n, nodes, exhaustive)
+
+
 def max_count_by_alphabet(
     ps: Union[Pattern, WeightedPatternSet],
     n: int,
@@ -437,28 +357,14 @@ def max_count_by_alphabet(
     threads: int = 1,
 ) -> Dict[int, SearchResult]:
     """Maximum weighted count among canonical words of length n using
-    exactly d distinct letters, for every d, in one sweep."""
+    exactly d distinct letters, for every d, in one sweep.  ``threads`` is
+    accepted for compatibility and has no effect."""
     ps = _as_set(ps)
-    cap = n
-    if budget is None or not budget.bounded:
-        if canonical_count(n, cap) > EXHAUSTIVE_WORD_LIMIT:
-            raise ValueError(
-                f"exhaustive search over {canonical_count(n, cap)} words; "
-                "supply a node budget"
-            )
-        perd, nodes, exhaustive, scale = _vector_by_alphabet(ps, n, cap)
-    else:
-        perd, nodes, exhaustive, scale = _dfs_by_alphabet(ps, n, cap, budget, threads)
-    denom = occurrence_denominator(ps.m, ps.b, n)
-    out = {}
-    for d, (c, wl) in sorted(perd.items()):
-        if c < 0:
-            continue
-        cnt = Fraction(c, scale)
-        out[d] = SearchResult(
-            cnt, denom, cnt / denom, Word(wl, max(wl)), d, n, nodes, exhaustive
-        )
-    return out
+    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, n, budget)
+    return {
+        d: _result(ps, best, scale, d, n, nodes, exhaustive)
+        for d, best in sorted(perd.items())
+    }
 
 
 def max_count(
@@ -469,56 +375,17 @@ def max_count(
     threads: int = 1,
 ) -> SearchResult:
     """mu(ps, k, n): maximum weighted occurrence count over words in [k]^n,
-    with the lexicographically least canonical maximizer."""
+    with the lexicographically least canonical maximizer; the density is
+    delta(ps, k, n) = mu / C(n - m + b, b), exact.  ``threads`` is accepted
+    for compatibility and has no effect."""
     ps = _as_set(ps)
-    if n < ps.m:
-        raise ValueError(f"n={n} shorter than pattern length m={ps.m}")
     if k < 1:
         raise ValueError("alphabet size k must be positive")
-    cap = min(k, n)
-    if budget is None or not budget.bounded:
-        if canonical_count(n, cap) > EXHAUSTIVE_WORD_LIMIT:
-            raise ValueError(
-                f"exhaustive search over {canonical_count(n, cap)} words; "
-                "supply a node budget"
-            )
-        perd, nodes, exhaustive, scale = _vector_by_alphabet(ps, n, cap)
-    else:
-        perd, nodes, exhaustive, scale = _dfs_by_alphabet(ps, n, cap, budget, threads)
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for d in range(1, cap + 1):
-        if d in perd and perd[d][0] >= 0:
-            c, wl = perd[d]
-            if best is None or c > best[0] or (c == best[0] and wl < best[1]):
-                best = (c, wl)
-    if best is None:
+    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, min(k, n), budget)
+    if not perd:
         raise RuntimeError("search explored no complete word")
-    denom = occurrence_denominator(ps.m, ps.b, n)
-    cnt = Fraction(best[0], scale)
-    return SearchResult(
-        cnt, denom, cnt / denom, Word(best[1], max(best[1])), k, n, nodes, exhaustive
-    )
-
-
-def delta_exact(
-    ps: Union[Pattern, WeightedPatternSet],
-    k: int,
-    n: int,
-    budget: Optional[SearchBudget] = None,
-    threads: int = 1,
-) -> SearchResult:
-    """delta(ps, k, n) = mu / C(n - m + b, b), exact."""
-    return max_count(ps, k, n, budget, threads)
-
-
-@dataclass(frozen=True)
-class SeriesRow:
-    n: int
-    k: int
-    count: Fraction
-    denom: int
-    density: Fraction
-    witness: Word
+    best = min(perd.values(), key=lambda cw: (-cw[0], cw[1]))
+    return _result(ps, best, scale, k, n, nodes, exhaustive)
 
 
 @dataclass(frozen=True)
@@ -530,7 +397,7 @@ class SeriesReport:
     violations list (n_prev, n) pairs and should always be empty.
     """
 
-    rows: Tuple[SeriesRow, ...]
+    rows: Tuple[SearchResult, ...]
     violations: Tuple[Tuple[int, int], ...]
 
 
@@ -541,12 +408,9 @@ def delta_series(
     budget: Optional[SearchBudget] = None,
     threads: int = 1,
 ) -> SeriesReport:
-    """Exact density table over n_range (diagonal k=n when k is None)."""
-    rows = []
-    for n in sorted(n_range):
-        k_eff = n if k is None else k
-        r = max_count(_as_set(ps), k_eff, n, budget, threads)
-        rows.append(SeriesRow(n, k_eff, r.count, r.denom, r.density, r.witness))
+    """Exact density table over n_range (diagonal k=n when k is None), one
+    max_count result per n.  ``threads`` has no effect."""
+    rows = [max_count(ps, n if k is None else k, n, budget) for n in sorted(n_range)]
     violations = []
     for a, b in zip(rows, rows[1:]):
         if b.density > a.density:

@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
-from .search import SearchBudget, enumerate_canonical
+from .search import SearchBudget, canonical_count, enumerate_canonical
 
 __all__ = [
     "UniverseSpec",
@@ -118,75 +118,6 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     return not missing, missing
 
 
-class _MatchTracker:
-    """Partial-match states of one classical pattern along a DFS prefix.
-
-    A state (j, phi) means some subsequence of the prefix realizes the
-    first j pattern letters with phi the partial map from pattern values
-    to word values.  Classical patterns have no adjacency constraints, so
-    states persist; pushes only add.  ``mm`` is the high-water mark of j,
-    i.e. the longest pattern prefix contained so far, and mm == m means
-    the full pattern is contained.
-    """
-
-    __slots__ = ("m", "steps", "states", "mm")
-
-    def __init__(self, p: Pattern) -> None:
-        self.m = p.m
-        steps = []
-        for j in range(self.m):
-            v = p.letters[j]
-            dom = set(p.letters[:j])
-            steps.append(
-                (
-                    v,
-                    v in dom,
-                    max((u for u in dom if u < v), default=0),
-                    min((u for u in dom if u > v), default=0),
-                )
-            )
-        self.steps = steps
-        self.states = {(0, (0,) * p.l)}
-        self.mm = 0
-
-    def push(self, x: int) -> Tuple[List[Tuple[int, Tuple[int, ...]]], int]:
-        added = []
-        old_mm = self.mm
-        m = self.m
-        best = old_mm
-        for j, phi in self.states:
-            if j == m:
-                continue
-            v, assigned, lo, hi = self.steps[j]
-            if assigned:
-                if phi[v - 1] != x:
-                    continue
-                phi2 = phi
-            else:
-                if lo and phi[lo - 1] >= x:
-                    continue
-                if hi and phi[hi - 1] <= x:
-                    continue
-                phi2 = phi[: v - 1] + (x,) + phi[v:]
-            j2 = j + 1
-            if j2 > best:
-                best = j2
-            if j2 < m:
-                st = (j2, phi2)
-                if st not in self.states:
-                    added.append(st)
-        if added:
-            self.states.update(added)
-        self.mm = best
-        return added, old_mm
-
-    def pop(self, undo: Tuple[List[Tuple[int, Tuple[int, ...]]], int]) -> None:
-        added, old_mm = undo
-        for st in added:
-            self.states.discard(st)
-        self.mm = old_mm
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -199,14 +130,17 @@ class _ShardOutcome(NamedTuple):
 
 class _LengthSearch:
     """Exhaustive DFS for a universal word of one fixed length, split into
-    independent root shards so shards can run concurrently without changing
-    any result field."""
+    root shards that are searched one after another, each with its own
+    share of the node budget."""
 
     def __init__(self, spec: UniverseSpec, length: int):
         self.spec = spec
         self.length = length
         self.comb_row = [comb(t, spec.m) for t in range(length + 1)]
         self.total_sets = comb(length, spec.m)
+        # canonical words of each length j on at most l letters: every one
+        # is the flattening of some length-j subsequence of a universal word
+        self.full = [canonical_count(j, spec.l) for j in range(spec.m + 1)]
 
     def shards(self, reverse: bool) -> List[Tuple[int, ...]]:
         """Root prefixes covering the first-occurrence-canonical space, in
@@ -222,19 +156,30 @@ class _LengthSearch:
         allowance: Optional[int],
         deadline: Optional[float],
     ) -> _ShardOutcome:
-        """Exhaust one root shard; all state is local so shards may run in
-        parallel.  The witness, if any, is the lexicographically least word
-        in the shard (found first because the DFS is lex-ordered and the
-        prunes are admissible)."""
+        """Exhaust one root shard.  The witness, if any, is the
+        lexicographically least word in the shard (found first because the
+        DFS is lex-ordered and the prunes are admissible).
+
+        Containment of every pattern at once is tracked by two sets shared
+        by the whole universe: ``subs`` holds the distinct value tuples of
+        the prefix's subsequences shorter than m (the empty one included),
+        ``flats`` the flattenings of its subsequences of length 1..m, and
+        ``have[j]`` counts the flattenings of length j.  A push logs only
+        the entries it adds, so a pop undoes it exactly.
+        """
         spec = self.spec
-        trackers = [_MatchTracker(p) for p in spec.patterns]
-        missing = spec.size
+        m = spec.m
+        full = self.full
+        subs = {()}
+        flats = set()
+        have = [0] * (m + 1)
+        flat_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         prefix: List[int] = []
         nodes = 0
         witness: Optional[Tuple[int, ...]] = None
 
-        def push(x: int) -> List[Tuple[int, object]]:
-            nonlocal missing, nodes
+        def push(x: int) -> Tuple[list, list]:
+            nonlocal nodes
             if (
                 deadline is not None
                 and (nodes & 1023) == 0
@@ -245,33 +190,36 @@ class _LengthSearch:
             if allowance is not None and nodes > allowance:
                 nodes -= 1
                 raise _BudgetExhausted
-            undos = []
-            done = 0
-            for idx, tr in enumerate(trackers):
-                if tr.mm == tr.m:
+            grown = []
+            fresh = []
+            for sub in subs:
+                t = sub + (x,)
+                if t in subs:
                     continue
-                undo = tr.push(x)
-                undos.append((idx, undo))
-                if tr.mm == tr.m:
-                    done += 1
-            missing -= done
+                if len(t) < m:
+                    grown.append(t)
+                f = flat_of.get(t)
+                if f is None:
+                    f = flat_of[t] = flatten(t)
+                if f not in flats:
+                    flats.add(f)
+                    fresh.append(f)
+                    have[len(f)] += 1
+            subs.update(grown)
             prefix.append(x)
-            return undos
+            return grown, fresh
 
-        def pop(undos: List[Tuple[int, object]]) -> None:
-            nonlocal missing
+        def pop(undo: Tuple[list, list]) -> None:
+            grown, fresh = undo
             prefix.pop()
-            done = 0
-            for idx, undo in undos:
-                tr = trackers[idx]
-                was_done = tr.mm == tr.m
-                tr.pop(undo)
-                if was_done and tr.mm < tr.m:
-                    done += 1
-            missing += done
+            subs.difference_update(grown)
+            flats.difference_update(fresh)
+            for f in fresh:
+                have[len(f)] -= 1
 
         def dfs(t: int, maxval: int) -> bool:
             nonlocal witness
+            missing = full[m] - have[m]
             if missing == 0:
                 witness = tuple(prefix) + (1,) * (self.length - t)
                 return True
@@ -280,21 +228,21 @@ class _LengthSearch:
                 return False
             if missing > self.total_sets - self.comb_row[t]:
                 return False
-            need = 0
-            for tr in trackers:
-                lack = tr.m - tr.mm
-                if lack > need:
-                    need = lack
-            if need > rem:
+            # An occurrence keeps at least m - rem letters in the prefix, so
+            # a missing pattern whose first m - rem letters the prefix lacks
+            # cannot appear.  Every canonical word of that length starts
+            # some pattern (pad it with 1s), so the branch dies as soon as
+            # one of them is absent.
+            if rem < m and have[m - rem] < full[m - rem]:
                 return False
             top = min(maxval + 1, spec.l)
             for x in range(1, top + 1):
-                undos = push(x)
+                undo = push(x)
                 try:
                     if dfs(t + 1, maxval if x <= maxval else x):
                         return True
                 finally:
-                    pop(undos)
+                    pop(undo)
             return False
 
         hit = False
@@ -332,13 +280,13 @@ def shortest_superpattern(
     shards for independent re-verification of exhausted lengths.
 
     A node budget is apportioned over each length's shards by a fixed
-    rule and shard outcomes merge in shard order, so every result field,
-    including per-length node counts in the log, is identical whatever
-    ``threads`` is; only ``nodes`` (total work actually executed) may
-    grow when parallel shards outrun an early witness.  Under a budget
-    the witness is the least in the explored region: if an earlier shard
-    was cut short, minimality of the witness is not certified (the length
-    still is).  Wall-clock budgets make results run-dependent.
+    rule and the shards run in order, a witness ending the length, so
+    every result field, including per-length node counts in the log, is
+    reproducible.  ``threads`` is accepted for compatibility and has no
+    effect.  Under a budget the witness is the least in the explored
+    region: if an earlier shard was cut short, minimality of the witness
+    is not certified (the length still is).  Wall-clock budgets make
+    results run-dependent.
     """
     spec = pattern_universe(l, m)
     upper = superpattern_word(spec.l, m)
@@ -359,66 +307,37 @@ def shortest_superpattern(
     found_length: Optional[int] = None
     certified = True
     length = lower
-    pool = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        while length <= upper.word.n:
-            search = _LengthSearch(spec, length)
-            shards = search.shards(reverse_shards)
-            if remaining is not None:
-                base, extra = divmod(remaining, len(shards))
-                allowances = [
-                    base + (1 if i < extra else 0) for i in range(len(shards))
-                ]
-            else:
-                allowances = [None] * len(shards)
-            outcomes: List[_ShardOutcome]
-            if pool is not None and len(shards) > 1:
-                outcomes = list(
-                    pool.map(
-                        lambda i: search.search_shard(
-                            shards[i], allowances[i], deadline
-                        ),
-                        range(len(shards)),
-                    )
-                )
-            else:
-                outcomes = []
-                for i, shard in enumerate(shards):
-                    oc = search.search_shard(shard, allowances[i], deadline)
-                    outcomes.append(oc)
-                    if oc.witness is not None:
-                        break  # a found witness cancels the remaining shards
-            executed += sum(oc.spent for oc in outcomes)
-            spent = 0
-            chosen: Optional[Tuple[int, ...]] = None
-            hit = False
-            for oc in outcomes:  # merge in shard order: results thread-free
-                spent += oc.spent
-                if oc.witness is not None:
-                    chosen = oc.witness
-                    break
-                hit = hit or oc.hit_budget
-            if chosen is not None:
-                log.append(LengthVerdict(length, "witness", spent))
-                witness = Word(chosen)
-                found_length = length
+    while length <= upper.word.n:
+        search = _LengthSearch(spec, length)
+        shards = search.shards(reverse_shards)
+        if remaining is not None:
+            base, extra = divmod(remaining, len(shards))
+            allowances = [base + (1 if i < extra else 0) for i in range(len(shards))]
+        else:
+            allowances = [None] * len(shards)
+        spent = 0
+        hit = False
+        for shard, allowance in zip(shards, allowances):
+            oc = search.search_shard(shard, allowance, deadline)
+            spent += oc.spent
+            if oc.witness is not None:
+                witness = Word(oc.witness)
                 break
-            if hit:
-                log.append(LengthVerdict(length, "inconclusive", spent))
-                certified = False
-                break
-            log.append(LengthVerdict(length, "exhausted", spent))
-            lower = length + 1
-            if remaining is not None:
-                remaining -= spent
-            length += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            hit = hit or oc.hit_budget
+        executed += spent
+        if witness is not None:
+            log.append(LengthVerdict(length, "witness", spent))
+            found_length = length
+            break
+        if hit:
+            log.append(LengthVerdict(length, "inconclusive", spent))
+            certified = False
+            break
+        log.append(LengthVerdict(length, "exhausted", spent))
+        lower = length + 1
+        if remaining is not None:
+            remaining -= spent
+        length += 1
 
     if witness is None:
         witness = upper.word

@@ -189,6 +189,32 @@ class TestSeries:
         code, _, err = run_cli(capsys, "series", "-p", "1122", "--n-range", "2:5")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--budget-nodes", "1"), ("--budget-seconds", "0.000001")]
+    )
+    def test_budget_that_completes_no_word_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "series", "-p", "12", "--n-range", "2:3", flag, value,
+            "--format", "json",
+        )
+        assert code == EXIT_BUDGET and err == ""
+        result = json.loads(out)["result"]
+        assert result["completed"] is False and result["exhaustive"] is False
+        assert result["error"] == "search explored no complete word"
+
+    def test_budgeted_rows_carry_exhaustive_and_nodes(self, capsys):
+        code, env = run_json(
+            capsys, "series", "-p", "12-1", "--n-range", "3:7", "-k", "2",
+            "--budget-nodes", "40",
+        )
+        assert code == EXIT_BUDGET
+        flags = [r["exhaustive"] for r in env["result"]["rows"]]
+        assert flags[0] is True and flags[-1] is False
+        assert [s["n"] for s in env["stats"]["nodes"]] == [3, 4, 5, 6, 7]
+        assert env["stats"]["nodes_total"] == sum(
+            s["nodes"] for s in env["stats"]["nodes"]
+        )
+
 
 class TestConstruct:
     def test_balanced_json(self, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from wordpack.core import Pattern, WeightedPatternSet, Word, flatten, parse_pattern, parse_word
 from wordpack.count import (
+    Automaton,
     CountReport,
     count_classical,
     count_generalized,
@@ -121,6 +122,43 @@ class TestEngineAgainstOracle:
         assert isinstance(rep, CountReport)
         assert rep.m == 3 and rep.b == 3 and rep.n == 6
         assert rep.density == Fraction(rep.count, rep.denom)
+
+
+class TestAutomaton:
+    """One automaton driven through random pushes, pops and re-pushes
+    always counts the occurrences in its current prefix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_push_pop_matches_oracle(self, data):
+        kind = data.draw(st.sampled_from(("classical", "vincular", "subword")))
+        letters = flatten(
+            data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        )
+        m = len(letters)
+        if kind == "classical":
+            gaps = frozenset(range(1, m))
+        elif kind == "subword":
+            gaps = frozenset()
+        else:
+            gaps = frozenset(
+                g for g in range(1, m) if data.draw(st.booleans(), label=f"gap{g}")
+            )
+        auto = Automaton(Pattern(letters, gaps))
+        k = data.draw(st.integers(1, 4))
+        prefix = []
+        # 0 pops, any other value pushes that letter
+        for op in data.draw(st.lists(st.integers(0, k), max_size=16)):
+            before = auto.count
+            if op == 0:
+                if not prefix:
+                    continue
+                prefix.pop()
+                assert auto.pop() == before - auto.count
+            elif len(prefix) < 10:
+                prefix.append(op)
+                assert auto.push(op) == auto.count - before
+            assert auto.count == oracles.naive_count(letters, gaps, prefix)
 
 
 class TestPatternTable:

@@ -12,7 +12,6 @@ from wordpack.count import count_generalized, weighted_count
 from wordpack.search import (
     SearchBudget,
     canonical_count,
-    delta_exact,
     delta_series,
     enumerate_canonical,
     max_count,
@@ -166,10 +165,11 @@ class TestSeries:
         assert rep.violations == ()
         assert all(row.k == 2 for row in rep.rows)
 
-    def test_delta_exact_is_max_count(self):
-        assert delta_exact(parse_pattern("121"), 5, 5) == max_count(
-            parse_pattern("121"), 5, 5
-        )
+    def test_rows_carry_search_results(self):
+        rep = delta_series(parse_pattern("121"), range(3, 6), k=2)
+        for row in rep.rows:
+            assert row == max_count(parse_pattern("121"), 2, row.n)
+            assert row.exhaustive and row.nodes > 0
 
 
 class TestStructuralChecks:

@@ -221,6 +221,24 @@ class TestDeterminism:
         b = shortest_superpattern(3, 4)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "l, m, log",
+        [
+            (3, 3, [(6, "exhausted", 154), (7, "witness", 245)]),
+            (
+                3,
+                4,
+                [(8, "exhausted", 525), (9, "exhausted", 1811), (10, "witness", 4940)],
+            ),
+            (2, 5, [(8, "exhausted", 70), (9, "witness", 116)]),
+        ],
+    )
+    def test_logs_pin_the_pruning(self, l, m, log):
+        """The per-length node counts pin which branches the prunes cut."""
+        res = shortest_superpattern(l, m)
+        assert [(v.length, v.verdict, v.nodes) for v in res.log] == log
+        assert res.nodes == sum(nodes for _, _, nodes in log)
+
 
 class TestConstructiveWordBridge:
     def test_constructive_word_universal_small_grid(self):
