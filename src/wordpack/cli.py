@@ -460,6 +460,10 @@ def _no_word(result: Dict[str, object], exc: RuntimeError) -> Tuple[int, _Report
     report.stats = {"nodes": None}
     report.row("error", str(exc))
     report.row("exhaustive", "false")
+    report.csv_columns = list(report.result)
+    report.csv_rows = [
+        [_bool_text(v) if isinstance(v, bool) else v for v in report.result.values()]
+    ]
     return EXIT_BUDGET, report
 
 

@@ -11,6 +11,9 @@ Two engines sit behind max_count: an exhaustive vectorized sweep used when no
 node budget is given and the space is small enough, and a branch-and-bound
 depth-first search that pushes and pops one occurrence automaton per
 pattern for budgeted runs.
+The sweep builds every canonical word into an int8 array a letter column at
+a time, then, for each set of positions an occurrence may take, compares
+m - 1 pairs of columns to find the words order-isomorphic to the pattern.
 Both track the best word per alphabet-support size d, so one sweep of the
 n-letter space answers every k at once.
 """
@@ -30,9 +33,9 @@ import numpy as np
 from .core import Pattern, WeightedPatternSet, Word, layered_decompose
 from .count import (
     Automaton,
-    count_generalized,
     occurrence_denominator,
     tiebreak_permutation,
+    weighted_count,
 )
 
 #: refuse exhaustive runs beyond this many candidate words unless budgeted
@@ -50,22 +53,26 @@ def canonical_count(n: int, k: Optional[int] = None) -> int:
     return sum(surjection_count(n, d) for d in range(1, cap + 1))
 
 
+def _fits(newmax, newd, slots):
+    """The canonical-prefix rule: a prefix with maximum newmax and newd
+    distinct letters extends to a canonical word iff the letters missing
+    below its maximum fit in the slots left.  Works on ints and on arrays."""
+    return newmax - newd <= slots
+
+
 def _next_letters(
     n: int, cap: int, t: int, maxv: int, dcount: int, used: Sequence[int]
 ) -> Iterator[Tuple[int, int, int]]:
     """The letters x that may follow a canonical prefix of length t with
     maximum maxv and dcount distinct letters (used[x] nonzero iff x
-    occurs), as (x, new maximum, new distinct count), in increasing order.
-
-    A prefix extends to a canonical word of length n on at most cap letters
-    iff the letters missing below its maximum still fit in the slots left,
-    so every canonical word is reached exactly once.
-    """
+    occurs), as (x, new maximum, new distinct count), in increasing order,
+    so every canonical word of length n on at most cap letters is reached
+    exactly once."""
     slots = n - t - 1
     for x in range(1, cap + 1):
         newmax = x if x > maxv else maxv
         newd = dcount if used[x] else dcount + 1
-        if newmax - newd <= slots:
+        if _fits(newmax, newd, slots):
             yield x, newmax, newd
 
 
@@ -262,40 +269,54 @@ def _dfs_by_alphabet(
 
 @lru_cache(maxsize=4)
 def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All canonical words as an int8 array in lex order, plus the
-    alphabet-support size of each row."""
-    rows: List[Tuple[int, ...]] = []
-    dcounts: List[int] = []
-    for w in enumerate_canonical(n, cap):
-        rows.append(w.letters)
-        dcounts.append(w.k)
-    arr = np.array(rows, dtype=np.int8)
-    return arr, np.array(dcounts, dtype=np.int8)
+    """All canonical words of length n on at most cap letters as an int8
+    array in lex order, plus the alphabet-support size of each row.  Each
+    prefix grows by x = 1..cap in order, keeping the extensions that pass
+    _fits, so rows stay in lex order; each column is contiguous."""
+    xs = np.arange(1, cap + 1, dtype=np.int8)
+    bits = np.left_shift(1, xs, dtype=np.int16 if cap < 15 else np.int64)
+    cols = np.zeros((0, 1 if n else 0), dtype=np.int8)  # the empty prefix
+    maxv, dcnt = np.zeros((2, cols.shape[1]), dtype=np.int8)
+    used = np.zeros(cols.shape[1], dtype=bits.dtype)  # bit x: letter x occurs
+    for t in range(n):
+        ok = np.empty((len(used), cap), dtype=bool)
+        for j in range(cap):
+            newd = dcnt + ((used & bits[j]) == 0)
+            ok[:, j] = _fits(np.maximum(maxv, xs[j]), newd, n - t - 1)
+        kids = ok.sum(axis=1)
+        grown = np.empty((t + 1, int(kids.sum())), dtype=np.int8)
+        for i in range(t):
+            grown[i] = np.repeat(cols[i], kids)
+        x = grown[t] = np.broadcast_to(xs, ok.shape)[ok]
+        cols = grown
+        bit = np.left_shift(1, x, dtype=bits.dtype)
+        used = np.repeat(used, kids)
+        dcnt = np.repeat(dcnt, kids) + ((used & bit) == 0)
+        used |= bit
+        maxv = np.maximum(np.repeat(maxv, kids), x)
+    return cols.T, dcnt
 
 
-def _count_vector(p: Pattern, words: np.ndarray, cap: int) -> np.ndarray:
-    """Occurrence counts of p in every row of words."""
+def _count_vector(p: Pattern, words: np.ndarray) -> np.ndarray:
+    """Occurrence counts of p in every row of words: for each set of
+    positions that keeps p's unhyphenated gaps adjacent, add 1 where the
+    letters there, taken in the order of p's letters, compare == where
+    p's letters tie and < where they rise."""
     nwords, n = words.shape
-    m, l = p.m, p.l
+    block = list(itertools.accumulate(int(g in p.hyphens) for g in range(p.m)))
+    order = sorted(range(p.m), key=lambda i: (p.letters[i], i))
+    steps = [(a, c, np.equal if p.letters[a] == p.letters[c] else np.less)
+             for a, c in zip(order, order[1:])]
+    cols = words.T
     out = np.zeros(nwords, dtype=np.int64)
-    if m > n:
-        return out
-    free_gap = [False] + [g in p.hyphens for g in range(1, m)]
-    cols = [words[:, i] for i in range(n)]
-    for phi in itertools.combinations(range(1, cap + 1), l):
-        s = [phi[v - 1] for v in p.letters]
-        F = np.zeros((m + 1, nwords), dtype=np.int32)
-        F[0] = 1
-        A = np.zeros((m + 1, nwords), dtype=np.int32)
-        for pos in range(n):
-            col = cols[pos]
-            newA = np.zeros_like(A)
-            for j in range(1, m + 1):
-                src = F[j - 1] if (j == 1 or free_gap[j - 1]) else A[j - 1]
-                newA[j] = np.where(col == s[j - 1], src, 0)
-            F += newA
-            A = newA
-        out += F[m]
+    hit, tmp = np.empty((2, nwords), dtype=bool)
+    for starts in itertools.combinations(range(n - p.m + p.b), p.b):
+        pos = [starts[block[q]] + q - block[q] for q in range(p.m)]
+        hit.fill(True)
+        for a, c, cmp in steps:
+            cmp(cols[pos[a]], cols[pos[c]], out=tmp)
+            hit &= tmp
+        out += hit
     return out
 
 
@@ -306,14 +327,13 @@ def _vector_by_alphabet(
     words, dcnt = _canonical_array(n, cap)
     counts = np.zeros(words.shape[0], dtype=np.int64)
     for p, w in entries:
-        counts += w * _count_vector(p, words, cap)
+        counts += w * _count_vector(p, words)
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     for d in range(1, cap + 1):
         idx = np.flatnonzero(dcnt == d)
         if idx.size == 0:
             continue
-        sub = counts[idx]
-        pos = idx[int(np.argmax(sub))]  # argmax returns the first, lex-least
+        pos = idx[int(np.argmax(counts[idx]))]  # the first maximum, lex-least
         perd[d] = (int(counts[pos]), tuple(int(v) for v in words[pos]))
     return perd, int(words.shape[0]), True, scale
 
@@ -431,10 +451,6 @@ class PermRestrictionReport:
     perm_witness: Word
 
 
-def _iter_permutations(n: int) -> Iterator[Tuple[int, ...]]:
-    yield from itertools.permutations(range(1, n + 1))
-
-
 def verify_perm_restriction(
     ps: Union[Pattern, WeightedPatternSet], n: int
 ) -> PermRestrictionReport:
@@ -446,9 +462,9 @@ def verify_perm_restriction(
             raise ValueError(f"{p} is not a classical permutation pattern")
     word_res = max_count(ps, n, n)
     best = None
-    for perm in _iter_permutations(n):
+    for perm in itertools.permutations(range(1, n + 1)):
         w = Word(perm, n)
-        c = sum((wt * count_generalized(p, w) for p, wt in ps.entries), Fraction(0))
+        c = weighted_count(ps, w)
         if best is None or c > best[0]:
             best = (c, w)
     perm_max, perm_witness = best
@@ -483,15 +499,7 @@ def verify_tiebreak_map(
     bad = 0
     for _ in range(samples):
         w = Word(tuple(rng.randint(1, n) for _ in range(n))).canonical()
-        before = sum(
-            (wt * count_generalized(p, w) for p, wt in ps.entries), Fraction(0)
-        )
-        after_word = tiebreak_permutation(w)
-        after = sum(
-            (wt * count_generalized(p, after_word) for p, wt in ps.entries),
-            Fraction(0),
-        )
-        if after < before:
+        if weighted_count(ps, tiebreak_permutation(w)) < weighted_count(ps, w):
             bad += 1
     return TiebreakReport(n, samples, bad)
 
@@ -527,9 +535,9 @@ def verify_layered_witness(
     promise = all(all(s >= 2 for s in shape.lengths) for shape in shapes)
     best: Fraction = Fraction(-1)
     maximizers: List[Word] = []
-    for perm in _iter_permutations(n):
+    for perm in itertools.permutations(range(1, n + 1)):
         w = Word(perm, n)
-        c = sum((wt * count_generalized(p, w) for p, wt in ps.entries), Fraction(0))
+        c = weighted_count(ps, w)
         if c > best:
             best = c
             maximizers = [w]

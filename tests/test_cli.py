@@ -161,6 +161,17 @@ class TestSearch:
         assert rows[1][:7] == ["6", "4", "8", "2", "5", "0.4", "112211"]
         assert rows[1][7] == "true"
 
+    def test_csv_budget_that_completes_no_word_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "search", "-p", "12", "-k", "3", "-n", "3",
+            "--budget-nodes", "1", "--format", "csv",
+        )
+        assert code == EXIT_BUDGET and err == ""
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["pattern", "k", "n", "completed", "error", "exhaustive"],
+            ["12", "3", "3", "false", "search explored no complete word", "false"],
+        ]
+
 
 class TestSeries:
     def test_diagonal_series(self, capsys):
@@ -201,6 +212,20 @@ class TestSeries:
         result = json.loads(out)["result"]
         assert result["completed"] is False and result["exhaustive"] is False
         assert result["error"] == "search explored no complete word"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--budget-nodes", "1"), ("--budget-seconds", "0.000001")]
+    )
+    def test_csv_budget_that_completes_no_word_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "series", "-p", "12", "--n-range", "2:3", flag, value,
+            "--format", "csv",
+        )
+        assert code == EXIT_BUDGET and err == ""
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["pattern", "k_policy", "completed", "error", "exhaustive"],
+            ["12", "diagonal", "false", "search explored no complete word", "false"],
+        ]
 
     def test_budgeted_rows_carry_exhaustive_and_nodes(self, capsys):
         code, env = run_json(

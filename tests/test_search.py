@@ -5,12 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from wordpack.core import Word, parse_pattern, parse_word
+from wordpack.core import Pattern, Word, flatten, parse_pattern, parse_word
 from wordpack.count import count_generalized, weighted_count
 from wordpack.search import (
     SearchBudget,
+    _canonical_array,
+    _count_vector,
     canonical_count,
     delta_series,
     enumerate_canonical,
@@ -46,6 +50,43 @@ class TestEnumeration:
         assert surjection_count(3, 2) == 6
         assert surjection_count(4, 4) == 24
         assert sum(surjection_count(4, d) for d in range(1, 5)) == FUBINI[4]
+
+
+class TestSweepKernels:
+    """The exhaustive sweep's word array and count vector against the
+    canonical enumerator and the subset-enumerating oracle."""
+
+    def test_canonical_array_matches_enumeration(self):
+        for n in range(1, 8):
+            for cap in range(1, n + 1):
+                words, support = _canonical_array(n, cap)
+                want = list(enumerate_canonical(n, cap))
+                assert words.shape == (len(want), n) and words.dtype == "int8"
+                assert [tuple(r) for r in words.tolist()] == [w.letters for w in want]
+                assert support.tolist() == [w.k for w in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_count_vector_matches_oracle(self, data):
+        kind = data.draw(st.sampled_from(("classical", "vincular", "subword")))
+        letters = flatten(
+            data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        )
+        m = len(letters)
+        if kind == "classical":
+            gaps = frozenset(range(1, m))
+        elif kind == "subword":
+            gaps = frozenset()
+        else:
+            gaps = frozenset(
+                g for g in range(1, m) if data.draw(st.booleans(), label=f"gap{g}")
+            )
+        p = Pattern(letters, gaps)
+        n = data.draw(st.integers(1, 6))
+        words, _ = _canonical_array(n, data.draw(st.integers(1, n)))
+        got = _count_vector(p, words).tolist()
+        want = [oracles.naive_count(letters, gaps, row) for row in words.tolist()]
+        assert got == want
 
 
 class TestMaxCountAgainstOracle:
