@@ -386,6 +386,8 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
 def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
     if config.pattern is None:
         raise UsageError("density requires -p/--pattern")
+    if config.starts < 0:
+        raise UsageError("--starts must be a nonnegative integer")
     p = parse_pattern(config.pattern)
     try:
         dv = _route_density(config, p)

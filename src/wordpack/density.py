@@ -66,9 +66,6 @@ class DensityValue:
     def exact(self) -> bool:
         return isinstance(self.value, Fraction)
 
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 def simple_layered_density(shape: LayeredShape) -> DensityValue:
     """Exact density of a layered permutation whose shape is simple:

@@ -10,12 +10,16 @@ makes results independent of sharding.
 Two engines sit behind max_count: an exhaustive vectorized sweep used when no
 node budget is given and the space is small enough, and a branch-and-bound
 depth-first search that pushes and pops one occurrence automaton per
-pattern for budgeted runs.
-The sweep builds every canonical word into an int8 array a letter column at
-a time, then, for each set of positions an occurrence may take, compares
-m - 1 pairs of columns to find the words order-isomorphic to the pattern.
+pattern for budgeted runs.  One builder grows canonical prefixes into an
+int8 array a letter column at a time: its full-depth words serve
+enumerate_canonical and the sweep, its depth-2 prefixes are the root shards
+of the branch and bound.  The sweep, for each set of positions an
+occurrence may take, compares m - 1 pairs of columns to find the words
+order-isomorphic to the pattern.
 Both track the best word per alphabet-support size d, so one sweep of the
-n-letter space answers every k at once.
+n-letter space answers every k at once.  Every budgeted search, here and in
+superpattern, splits its nodes over shards with _shares and counts them
+with a _Meter.
 """
 
 from __future__ import annotations
@@ -76,30 +80,24 @@ def _next_letters(
             yield x, newmax, newd
 
 
-def _canonical_prefixes(n: int, cap: int, depth: int) -> Iterator[Word]:
-    """The distinct length-depth prefixes of the canonical words of length
-    n on at most cap letters, lexicographically."""
-    prefix = [0] * depth
-    used = [0] * (cap + 1)
-
-    def rec(t: int, maxv: int, dcount: int) -> Iterator[Word]:
-        for x, newmax, newd in _next_letters(n, cap, t, maxv, dcount, used):
-            prefix[t] = x
-            if t + 1 == depth:
-                yield Word(tuple(prefix), newmax)
-            else:
-                used[x] += 1
-                yield from rec(t + 1, newmax, newd)
-                used[x] -= 1
-
-    return rec(0, 0, 0)
-
-
 def enumerate_canonical(n: int, k: Optional[int] = None) -> Iterator[Word]:
-    """Canonical words of length n on at most k letters, lexicographically."""
-    if n == 0:
+    """Canonical words of length n on at most k letters, lexicographically.
+
+    Every word is built up front (the rows of _canonical_array), so a space
+    of more than EXHAUSTIVE_WORD_LIMIT words raises ValueError instead."""
+    cap = n if k is None else min(k, n)
+    if cap < 1:
         return iter(())
-    return _canonical_prefixes(n, n if k is None else min(k, n), n)
+    total = canonical_count(n, cap)
+    if total > EXHAUSTIVE_WORD_LIMIT:
+        raise ValueError(f"enumerating {total} canonical words; the limit is "
+                         f"{EXHAUSTIVE_WORD_LIMIT}")
+    words, dcnt = _canonical_array(n, cap)
+    step = 1 << 16  # rows per batch, so the lists of letters stay small
+    return itertools.chain.from_iterable(
+        map(Word, zip(*words[i:i + step].T.tolist()), dcnt[i:i + step].tolist())
+        for i in range(0, len(dcnt), step)
+    )
 
 
 @dataclass(frozen=True)
@@ -143,6 +141,37 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _Meter:
+    """The node budget of one shard: tick() counts a node, or raises
+    _BudgetExceeded once allowance nodes are counted (None: no limit) or,
+    checked every 1024 nodes, once time.monotonic() passes deadline."""
+
+    def __init__(self, allowance: Optional[int], deadline: Optional[float]) -> None:
+        self.allowance = allowance
+        self.deadline = deadline
+        self.nodes = 0
+
+    def tick(self) -> None:
+        if (
+            self.deadline is not None
+            and (self.nodes & 1023) == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise _BudgetExceeded
+        if self.allowance is not None and self.nodes >= self.allowance:
+            raise _BudgetExceeded
+        self.nodes += 1
+
+
+def _shares(total: Optional[int], parts: int) -> List[Optional[int]]:
+    """A node budget split over parts shards by a fixed rule, the first
+    total % parts shards taking one node more; None stays None."""
+    if total is None:
+        return [None] * parts
+    base, extra = divmod(total, parts)
+    return [base + (i < extra) for i in range(parts)]
+
+
 class _Shard:
     """Branch-and-bound DFS over one canonical subtree, tracking per-d
     maxima (d = alphabet support of the complete word)."""
@@ -154,36 +183,24 @@ class _Shard:
         cap: int,
         crem: List[int],
         wsum: int,
-        max_nodes: Optional[int],
-        deadline: Optional[float] = None,
+        meter: _Meter,
     ) -> None:
         self.n = n
         self.cap = cap
         self.crem = crem
         self.wsum = wsum
-        self.max_nodes = max_nodes
-        self.deadline = deadline
+        self.meter = meter
         self.automata = [Automaton(p) for p, _ in entries]
         self.weights = [w for _, w in entries]
         self.best: List[int] = [-1] * (cap + 1)
         self.bestw: List[Optional[Tuple[int, ...]]] = [None] * (cap + 1)
-        self.nodes = 0
         self.exhausted = False
         self.prefix: List[int] = []
         self.used = [0] * (cap + 2)
         self.cur = 0
 
     def _push(self, x: int) -> None:
-        if (
-            self.deadline is not None
-            and (self.nodes & 1023) == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _BudgetExceeded
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            self.nodes -= 1
-            raise _BudgetExceeded
+        self.meter.tick()
         for a, w in zip(self.automata, self.weights):
             self.cur += w * a.push(x)
         self.prefix.append(x)
@@ -196,15 +213,10 @@ class _Shard:
             self.cur -= w * a.pop()
 
     def run(self, prefix: Sequence[int]) -> None:
-        maxv = 0
-        dcount = 0
         try:
             for x in prefix:
-                if x > maxv:
-                    maxv = x
-                dcount += 0 if self.used[x] else 1
                 self._push(x)
-            self._dfs(len(prefix), maxv, dcount)
+            self._dfs(len(prefix), max(prefix), len(set(prefix)))
         except _BudgetExceeded:
             self.exhausted = True
         finally:
@@ -242,24 +254,19 @@ def _dfs_by_alphabet(
     crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
     wsum = sum(w for _, w in entries)
     # a fixed lex-ordered list of root prefixes, so the node budget's split
-    # and the results depend only on (n, cap)
-    plan = [w.letters for w in _canonical_prefixes(n, cap, min(2, n))]
-    max_nodes = budget.max_nodes
+    # and the results depend only on (n, cap); built outside the cache of
+    # word arrays, which a budgeted run leaves as it is
+    plan = list(zip(*_canonical_columns(n, cap, min(2, n))[0].tolist()))
     max_seconds = budget.max_seconds
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    per_shard: List[Optional[int]] = [None] * len(plan)
-    if max_nodes is not None:
-        per_shard = [max_nodes // len(plan)] * len(plan)
-        for i in range(max_nodes % len(plan)):
-            per_shard[i] += 1
 
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     nodes = 0
     exhausted = False
-    for prefix, allowance in zip(plan, per_shard):
-        shard = _Shard(entries, n, cap, crem, wsum, allowance, deadline)
+    for prefix, allowance in zip(plan, _shares(budget.max_nodes, len(plan))):
+        shard = _Shard(entries, n, cap, crem, wsum, _Meter(allowance, deadline))
         shard.run(prefix)
-        nodes += shard.nodes
+        nodes += shard.meter.nodes
         exhausted = exhausted or shard.exhausted
         for d in range(1, cap + 1):  # lex order of the plan keeps witnesses lex-least
             if shard.best[d] > perd.get(d, (-1, ()))[0]:
@@ -267,18 +274,18 @@ def _dfs_by_alphabet(
     return perd, nodes, not exhausted, scale
 
 
-@lru_cache(maxsize=4)
-def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All canonical words of length n on at most cap letters as an int8
-    array in lex order, plus the alphabet-support size of each row.  Each
+def _canonical_columns(n: int, cap: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct length-depth prefixes of the canonical words of length
+    n on at most cap letters, as an int8 (depth, rows) array with the rows
+    in lex order, plus the number of distinct letters of each row.  Each
     prefix grows by x = 1..cap in order, keeping the extensions that pass
-    _fits, so rows stay in lex order; each column is contiguous."""
+    _fits, so rows stay in lex order."""
     xs = np.arange(1, cap + 1, dtype=np.int8)
     bits = np.left_shift(1, xs, dtype=np.int16 if cap < 15 else np.int64)
     cols = np.zeros((0, 1 if n else 0), dtype=np.int8)  # the empty prefix
     maxv, dcnt = np.zeros((2, cols.shape[1]), dtype=np.int8)
     used = np.zeros(cols.shape[1], dtype=bits.dtype)  # bit x: letter x occurs
-    for t in range(n):
+    for t in range(depth):
         ok = np.empty((len(used), cap), dtype=bool)
         for j in range(cap):
             newd = dcnt + ((used & bits[j]) == 0)
@@ -294,6 +301,15 @@ def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
         dcnt = np.repeat(dcnt, kids) + ((used & bit) == 0)
         used |= bit
         maxv = np.maximum(np.repeat(maxv, kids), x)
+    return cols, dcnt
+
+
+@lru_cache(maxsize=4)
+def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """All canonical words of length n on at most cap letters as an int8
+    array in lex order, plus the alphabet-support size of each row; each
+    column is contiguous."""
+    cols, dcnt = _canonical_columns(n, cap, n)
     return cols.T, dcnt
 
 
@@ -325,9 +341,11 @@ def _vector_by_alphabet(
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
     words, dcnt = _canonical_array(n, cap)
-    counts = np.zeros(words.shape[0], dtype=np.int64)
-    for p, w in entries:
-        counts += w * _count_vector(p, words)
+    counts = None
+    for p, w in entries:  # in place: at most two vectors of the words' length
+        vec = _count_vector(p, words)
+        vec *= w
+        counts = vec if counts is None else np.add(counts, vec, out=counts)
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     for d in range(1, cap + 1):
         idx = np.flatnonzero(dcnt == d)

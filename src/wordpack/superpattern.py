@@ -25,13 +25,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
-from .search import SearchBudget, canonical_count, enumerate_canonical
+from .search import (
+    SearchBudget,
+    _BudgetExceeded,
+    _Meter,
+    _shares,
+    canonical_count,
+    enumerate_canonical,
+)
 
 __all__ = [
     "UniverseSpec",
@@ -104,22 +110,18 @@ def pattern_universe(l: int, m: int) -> UniverseSpec:
 
 
 def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
-    """Whether w classically contains every (l, m) pattern; missing list exact."""
+    """Whether w classically contains every (l, m) pattern; missing list exact.
+
+    One left-to-right pass keeps levels[j], the distinct value tuples of
+    w's subsequences of length j; each tuple of length m is flattened once."""
     spec = pattern_universe(l, m)
-    found = set()
-    target = spec.size
-    for combo in combinations(w.letters, m):
-        f = flatten(combo)
-        if max(f) <= spec.l:
-            found.add(f)
-            if len(found) == target:
-                return True, ()
+    levels = [{()}] + [set() for _ in range(m)]
+    for x in w.letters:
+        for j in range(m - 1, -1, -1):  # downwards: each letter used once
+            levels[j + 1].update([s + (x,) for s in levels[j]])
+    found = {f for f in map(flatten, levels[m]) if max(f) <= spec.l}
     missing = tuple(p for p in spec.patterns if p.letters not in found)
     return not missing, missing
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 class _ShardOutcome(NamedTuple):
@@ -175,21 +177,11 @@ class _LengthSearch:
         have = [0] * (m + 1)
         flat_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         prefix: List[int] = []
-        nodes = 0
+        meter = _Meter(allowance, deadline)
         witness: Optional[Tuple[int, ...]] = None
 
         def push(x: int) -> Tuple[list, list]:
-            nonlocal nodes
-            if (
-                deadline is not None
-                and (nodes & 1023) == 0
-                and time.monotonic() > deadline
-            ):
-                raise _BudgetExhausted
-            nodes += 1
-            if allowance is not None and nodes > allowance:
-                nodes -= 1
-                raise _BudgetExhausted
+            meter.tick()
             grown = []
             fresh = []
             for sub in subs:
@@ -247,19 +239,12 @@ class _LengthSearch:
 
         hit = False
         try:
-            maxval = 0
-            ok = True
             for x in shard:
-                if x > min(maxval + 1, spec.l):
-                    ok = False
-                    break
                 push(x)
-                maxval = max(maxval, x)
-            if ok:
-                dfs(len(shard), maxval)
-        except _BudgetExhausted:
+            dfs(len(shard), max(shard, default=0))
+        except _BudgetExceeded:
             hit = True
-        return _ShardOutcome(witness, nodes, hit)
+        return _ShardOutcome(witness, meter.nodes, hit)
 
 
 def shortest_superpattern(
@@ -310,14 +295,9 @@ def shortest_superpattern(
     while length <= upper.word.n:
         search = _LengthSearch(spec, length)
         shards = search.shards(reverse_shards)
-        if remaining is not None:
-            base, extra = divmod(remaining, len(shards))
-            allowances = [base + (1 if i < extra else 0) for i in range(len(shards))]
-        else:
-            allowances = [None] * len(shards)
         spent = 0
         hit = False
-        for shard, allowance in zip(shards, allowances):
+        for shard, allowance in zip(shards, _shares(remaining, len(shards))):
             oc = search.search_shard(shard, allowance, deadline)
             spent += oc.spent
             if oc.witness is not None:

@@ -120,6 +120,14 @@ class TestDensity:
         assert env["result"]["value"]["decimal"] <= 0.375 + 1e-9
         assert "proportions" in env["result"]["aux"]
 
+    def test_negative_starts_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "density", "-p", "12", "--route", "cap", "--ell", "3",
+            "--starts", "-1",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "--starts" in err and len(err.strip().splitlines()) == 1
+
     def test_no_route_for_vincular(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "12-1")
         assert code == EXIT_USAGE

@@ -15,6 +15,7 @@ from wordpack.search import (
     SearchBudget,
     _canonical_array,
     _count_vector,
+    _shares,
     canonical_count,
     delta_series,
     enumerate_canonical,
@@ -46,6 +47,21 @@ class TestEnumeration:
         assert got == want
         assert canonical_count(5, 2) == len(want) == 31  # 1 + (2^5 - 2)
 
+    def test_batches_cover_every_row(self):
+        words = [w.letters for w in enumerate_canonical(8)]  # nine batches
+        assert len(words) == FUBINI[8]
+        assert all(a < b for a, b in zip(words, words[1:]))
+
+    def test_oversize_raises_before_building(self):
+        before = _canonical_array.cache_info()
+        with pytest.raises(ValueError, match="102247563"):  # Fubini(10)
+            enumerate_canonical(10)
+        assert _canonical_array.cache_info() == before
+
+    def test_empty_spaces(self):
+        assert list(enumerate_canonical(0)) == []
+        assert list(enumerate_canonical(4, 0)) == []
+
     def test_surjection_count(self):
         assert surjection_count(3, 2) == 6
         assert surjection_count(4, 4) == 24
@@ -54,16 +70,16 @@ class TestEnumeration:
 
 class TestSweepKernels:
     """The exhaustive sweep's word array and count vector against the
-    canonical enumerator and the subset-enumerating oracle."""
+    cube-flattening and subset-enumerating oracles."""
 
     def test_canonical_array_matches_enumeration(self):
-        for n in range(1, 8):
-            for cap in range(1, n + 1):
-                words, support = _canonical_array(n, cap)
-                want = list(enumerate_canonical(n, cap))
-                assert words.shape == (len(want), n) and words.dtype == "int8"
-                assert [tuple(r) for r in words.tolist()] == [w.letters for w in want]
-                assert support.tolist() == [w.k for w in want]
+        cases = [(n, cap) for n in range(1, 7) for cap in range(1, n + 1)] + [(7, 3)]
+        for n, cap in cases:
+            words, support = _canonical_array(n, cap)
+            want = oracles.canonical_words(n, cap)
+            assert words.shape == (len(want), n) and words.dtype == "int8"
+            assert [tuple(r) for r in words.tolist()] == want
+            assert support.tolist() == [len(set(w)) for w in want]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -156,6 +172,23 @@ class TestBranchAndBound:
         partial = max_count(p, 7, 7, budget=SearchBudget(3000))
         assert not partial.exhaustive
         assert partial.count <= full.count
+
+    def test_budgeted_run_is_pinned(self):
+        """10007 nodes over the 49 root prefixes of n=8, cap 7 leave a
+        remainder of 11, which the node count shows."""
+        r = max_count(parse_pattern("121"), 7, 8, budget=SearchBudget(10007))
+        assert (r.nodes, r.count, str(r.witness)) == (10007, 17, "12113211")
+        assert not r.exhaustive
+
+    def test_budget_split_rule(self):
+        assert _shares(10007, 49) == [205] * 11 + [204] * 38
+        assert _shares(1, 2) == [1, 0]
+        assert _shares(None, 3) == [None] * 3
+
+    def test_budgeted_run_leaves_the_word_arrays_alone(self):
+        before = _canonical_array.cache_info()
+        max_count(parse_pattern("121"), 7, 8, budget=SearchBudget(2000))
+        assert _canonical_array.cache_info() == before
 
     def test_budget_too_small_to_reach_any_word(self):
         with pytest.raises(RuntimeError, match="no complete word"):

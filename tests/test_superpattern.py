@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
@@ -97,6 +99,19 @@ class TestIsUniversal:
     def test_wide_alphabet_reduction(self):
         ok, _ = is_universal(Word((1, 2, 1)), 9, 2)
         assert ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), max_size=10),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_matches_brute_force_with_missing_list(self, letters, l, m):
+        found = {flatten(c) for c in itertools.combinations(letters, m)}
+        want = tuple(p for p in pattern_universe(l, m).patterns if p.letters not in found)
+        ok, missing = is_universal(Word(tuple(letters)), l, m)
+        assert ok == brute_is_universal(letters, l, m) == (want == ())
+        assert missing == want
 
 
 class TestShortestSuperpattern:
@@ -238,6 +253,13 @@ class TestDeterminism:
         res = shortest_superpattern(l, m)
         assert [(v.length, v.verdict, v.nodes) for v in res.log] == log
         assert res.nodes == sum(nodes for _, _, nodes in log)
+
+    def test_budgeted_log_is_pinned(self):
+        """2001 nodes split unevenly over the two root shards."""
+        res = shortest_superpattern(4, 4, SearchBudget(max_nodes=2001))
+        assert [(v.length, v.verdict, v.nodes) for v in res.log] == [
+            (9, "inconclusive", 1940)
+        ]
 
 
 class TestConstructiveWordBridge:
