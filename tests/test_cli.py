@@ -398,6 +398,138 @@ class TestDeterminism:
         assert code == EXIT_USAGE and "WORDPACK_THREADS" in err
 
 
+#: exact stdout and exit code of the table and CSV renderings; the
+#: budgeted `series` row pins its branch-and-bound figures
+GOLDEN = [
+    ("count -p 122 -w 213322", "table", EXIT_OK, """\
+pattern      122
+word         213322
+nu           3
+denominator  20
+delta        3/20 (0.15)
+"""),
+    ("count -p 122 -w 213322", "csv", EXIT_OK, """\
+pattern,word,nu,denominator,delta_num,delta_den,delta_decimal
+122,213322,3,20,3,20,0.15
+"""),
+    ("density -p 121", "table", EXIT_OK, """\
+pattern      121
+route        auto
+density      0.2320508075688773
+exact        false
+provenance   split single-rise formula
+error_bound  1e-10
+"""),
+    ("density -p 121", "csv", EXIT_OK, """\
+pattern,route,decimal,error_bound,provenance
+121,auto,0.2320508075688773,1e-10,split single-rise formula
+"""),
+    ("density -p 1122 --route two-block", "table", EXIT_OK, """\
+pattern     1122
+route       two-block
+density     3/8 (0.375)
+exact       true
+provenance  two-block binomial formula
+"""),
+    ("density -p 1122 --route two-block", "csv", EXIT_OK, """\
+pattern,route,decimal,error_bound,provenance
+1122,two-block,0.375,,two-block binomial formula
+"""),
+    ("search -p 121 -k 4 -n 6", "table", EXIT_OK, """\
+pattern      121
+k            4
+n            6
+mu           8
+denominator  20
+delta        2/5 (0.4)
+witness      112211
+exhaustive   true
+"""),
+    ("search -p 121 -k 4 -n 6", "csv", EXIT_OK, """\
+n,k,mu,delta_num,delta_den,delta_decimal,witness,exhaustive,nodes
+6,4,8,2,5,0.4,112211,true,2163
+"""),
+    ("search -p 12 -k 3 -n 3 --budget-nodes 1", "table", EXIT_BUDGET, """\
+error       search explored no complete word
+exhaustive  false
+"""),
+    ("search -p 12 -k 3 -n 3 --budget-nodes 1", "csv", EXIT_BUDGET, """\
+pattern,k,n,completed,error,exhaustive
+12,3,3,false,search explored no complete word,false
+"""),
+    ("series -p 121 --n-range 6:7 --budget-nodes 20000", "table", EXIT_BUDGET, """\
+n=6 k=6        mu=8 delta=2/5 (0.4) witness=112211
+n=7 k=7        mu=12 delta=12/35 (0.34285714285714286) witness=1112211 [budget hit]
+nonincreasing  true
+"""),
+    ("series -p 121 --n-range 6:7 --budget-nodes 20000", "csv", EXIT_BUDGET, """\
+n,k,mu,delta_num,delta_den,delta_decimal,witness,exhaustive,nodes
+6,6,8,2,5,0.4,112211,true,8356
+7,7,12,12,35,0.34285714285714286,1112211,false,18839
+"""),
+    ("construct --builder balanced -n 16 -k 4 --emit json", "table", EXIT_OK, """\
+builder      balanced
+recipe       balanced-monotone(n=16, k=4)
+word         1111222233334444
+length       16
+alphabet     4
+count[11-2]  predicted=72 recounted=72
+count[12]    predicted=96 recounted=96
+density      24/35 (0.6857142857142857)
+verified     true
+"""),
+    ("construct --builder balanced -n 16 -k 4 --emit json", "csv", EXIT_USAGE, ""),
+    ("construct --builder balanced -n 16 -k 4 --emit word", "table", EXIT_OK, """\
+1111222233334444
+"""),
+    ("construct --builder balanced -n 16 -k 4 --emit word", "csv", EXIT_OK, """\
+word
+1111222233334444
+"""),
+    ("super -l 2 -m 2", "table", EXIT_OK, """\
+l            2
+m            2
+universe     3 patterns
+length       3
+witness      121
+lower_bound  3 (certified)
+log          3 witness
+"""),
+    ("super -l 2 -m 2", "csv", EXIT_USAGE, ""),
+    ("table3", "table", EXIT_OK, """\
+111  1.0  [constant pattern packs perfectly]
+112  0.4641016151377546  [single-rise root formula]
+121  0.2320508075688773  [split single-rise formula]
+123  1.0  [monotone pattern packs perfectly]
+132  0.4641016151377546  [single-rise root formula (after layer reduction)]
+"""),
+    ("table3", "csv", EXIT_OK, """\
+pattern,decimal,error_bound,provenance
+111,1.0,,constant pattern packs perfectly
+112,0.4641016151377546,1e-12,single-rise root formula
+121,0.2320508075688773,1e-10,split single-rise formula
+123,1.0,,monotone pattern packs perfectly
+132,0.4641016151377546,1e-12,single-rise root formula (after layer reduction)
+"""),
+    ("verify --suite overlap-formula", "table", EXIT_OK, """\
+overlap-formula  pass
+"""),
+    ("verify --suite overlap-formula", "csv", EXIT_USAGE, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, code, out", GOLDEN, ids=[f"{c} [{f}]" for c, f, _, _ in GOLDEN]
+)
+def test_golden_rendering(capsys, command, fmt, code, out):
+    got_code, got_out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert (got_code, got_out) == (code, out)
+    if code == EXIT_USAGE:
+        assert "has no tabular form" in err and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+
+
 class TestUsageErrors:
     def test_bad_pattern_text(self, capsys):
         code, _, err = run_cli(capsys, "count", "-p", "12-x", "-w", "123")
