@@ -1,11 +1,17 @@
 """Command-line surface unifying counting, search, densities, constructions
 and superpattern search, with machine-readable output.
 
-JSON output is a versioned envelope {"schema", "command", "config",
-"result", "stats"} serialized with sorted keys, so identical configurations
-produce byte-identical output.  Exact rationals appear as {"num", "den",
-"decimal"}; CSV uses the decimal rendering only.  Node counters live only
-in the stats object, which is excluded from the determinism contract.
+Each subcommand states its values once: raw ``result`` and ``stats`` dicts,
+an ordered ``table`` of label -> value and, for the tabular subcommands,
+``csv`` rows of column -> value.  One rule renders each format.  JSON is a
+versioned envelope {"schema", "command", "config", "result", "stats"}
+serialized with sorted keys, so identical configurations produce
+byte-identical output; exact rationals appear as {"num", "den", "decimal"}.
+The table renders a rational as ``a/b (decimal)`` and a bool as
+``true``/``false``.  CSV splits a rational column ``x`` into ``x_num``,
+``x_den`` and ``x_decimal``, writes a bool as ``true``/``false`` and None
+as an empty cell.  Node counters live only in the stats object, which is
+excluded from the determinism contract.
 ``--threads`` and ``WORDPACK_THREADS`` are validated but have no effect:
 every search runs its shards one after another in the calling thread.
 
@@ -20,17 +26,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     ParseError,
     Pattern,
-    Word,
     blocks,
-    format_pattern,
-    format_word,
     layered_decompose,
     parse_pattern,
     parse_word,
@@ -63,6 +66,7 @@ from .construct import (
 )
 from .search import (
     SearchBudget,
+    SearchResult,
     delta_series,
     max_count,
     verify_layered_witness,
@@ -101,9 +105,6 @@ _BUILDERS = (
     "twelve-one",
     "sqrt-layers",
 )
-
-_SUITES = ("monotonicity", "restriction", "layered-witness", "overlap-formula")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -196,52 +197,54 @@ def _parse_n_range(text: str) -> Tuple[int, int]:
 # rendering
 
 
-def _rational(x: Fraction) -> Dict[str, object]:
-    return {"num": x.numerator, "den": x.denominator, "decimal": float(x)}
-
-
-def _value_obj(v: object) -> Dict[str, object]:
-    if isinstance(v, Fraction):
-        return _rational(v)
-    return {"decimal": float(v)}
-
-
 def _jsonsafe(obj: object) -> object:
     if isinstance(obj, Fraction):
-        return _rational(obj)
-    if isinstance(obj, Pattern):
-        return format_pattern(obj)
-    if isinstance(obj, Word):
-        return format_word(obj)
+        return {"num": obj.numerator, "den": obj.denominator, "decimal": float(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonsafe(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if hasattr(obj, "item"):  # numpy scalars
         return _jsonsafe(obj.item())
-    return str(obj)
+    return str(obj)  # Pattern, Word
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _text(value: object) -> str:
+    """One table cell: a rational as ``a/b (decimal)``, a bool as
+    ``true``/``false``, anything else through ``str``."""
+    if isinstance(value, Fraction):
+        return f"{value} ({float(value)!r})"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
+def _cells(row: Mapping[str, object]) -> Dict[str, object]:
+    """One CSV row: a rational column ``x`` splits into ``x_num``, ``x_den``
+    and ``x_decimal``, and a bool renders as ``true``/``false``."""
+    out: Dict[str, object] = {}
+    for key, value in row.items():
+        if isinstance(value, Fraction):
+            out[f"{key}_num"] = value.numerator
+            out[f"{key}_den"] = value.denominator
+            out[f"{key}_decimal"] = float(value)
+        else:
+            out[key] = _text(value) if isinstance(value, bool) else value
+    return out
+
+
+@dataclass
 class _Report:
-    """Collects one command's output in every format at once."""
+    """One command's values, each stated once: raw ``result`` and ``stats``
+    for JSON, an ordered label -> value ``table``, and ``csv`` rows of
+    column -> value (None: the command has no tabular form)."""
 
-    def __init__(self) -> None:
-        self.result: Dict[str, object] = {}
-        self.stats: Dict[str, object] = {}
-        self.table: List[Tuple[str, str]] = []
-        self.csv_columns: Optional[List[str]] = None
-        self.csv_rows: Optional[List[List[object]]] = None
-
-    def row(self, key: str, value: object) -> None:
-        self.table.append((key, str(value)))
+    result: Dict[str, object]
+    table: Dict[str, object]
+    csv: Optional[List[Dict[str, object]]] = None
+    stats: Dict[str, object] = field(default_factory=dict)
 
 
 def _emit(config: RunConfig, report: _Report, stream=None) -> None:
@@ -250,29 +253,25 @@ def _emit(config: RunConfig, report: _Report, stream=None) -> None:
         envelope = {
             "schema": SCHEMA,
             "command": config.subcommand,
-            "config": _jsonsafe(asdict(config)),
-            "result": _jsonsafe(report.result),
-            "stats": _jsonsafe(report.stats),
+            "config": asdict(config),
+            "result": report.result,
+            "stats": report.stats,
         }
-        out.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        out.write(json.dumps(_jsonsafe(envelope), sort_keys=True, indent=2) + "\n")
     elif config.format == "csv":
-        if report.csv_columns is None or report.csv_rows is None:
+        if report.csv is None:
             raise UsageError(
                 f"subcommand {config.subcommand!r} has no tabular form; "
                 "use --format json or table"
             )
+        rows = [_cells(row) for row in report.csv]
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(report.csv_columns)
-        for row in report.csv_rows:
-            writer.writerow(row)
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
     else:
-        width = max((len(k) for k, _ in report.table), default=0)
-        for key, value in report.table:
-            out.write(f"{key.ljust(width)}  {value}".rstrip() + "\n")
-
-
-def _bool_text(v: bool) -> str:
-    return "true" if v else "false"
+        width = max((len(k) for k in report.table), default=0)
+        for key, value in report.table.items():
+            out.write(f"{key.ljust(width)}  {_text(value)}".rstrip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -285,45 +284,23 @@ def _cmd_count(config: RunConfig) -> Tuple[int, _Report]:
     p = parse_pattern(config.pattern)
     w = parse_word(config.word, config.k or 0)
     rep = exact_density(p, w)
-    delta = rep.density
-    count = rep.count
-    if isinstance(count, Fraction) and count.denominator == 1:
-        count = int(count)
-    report = _Report()
-    report.result = {
-        "pattern": format_pattern(p),
-        "word": format_word(w),
+    count = int(rep.count) if rep.count.denominator == 1 else rep.count
+    result = {
+        "pattern": p,
+        "word": w,
         "k": w.k,
-        "count": count if isinstance(count, int) else _rational(count),
+        "count": count,
         "denominator": rep.denom,
-        "delta": _rational(delta),
+        "delta": rep.density,
     }
-    report.row("pattern", format_pattern(p))
-    report.row("word", format_word(w))
-    report.row("nu", rep.count)
-    report.row("denominator", rep.denom)
-    report.row("delta", f"{_frac_text(delta)} ({float(delta)!r})")
-    report.csv_columns = [
-        "pattern",
-        "word",
-        "nu",
-        "denominator",
-        "delta_num",
-        "delta_den",
-        "delta_decimal",
-    ]
-    report.csv_rows = [
-        [
-            format_pattern(p),
-            format_word(w),
-            rep.count,
-            rep.denom,
-            delta.numerator,
-            delta.denominator,
-            float(delta),
-        ]
-    ]
-    return EXIT_OK, report
+    table = {
+        "pattern": p,
+        "word": w,
+        "nu": str(rep.count),
+        "denominator": rep.denom,
+        "delta": rep.density,
+    }
+    return EXIT_OK, _Report(result, table, [table])
 
 
 def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
@@ -332,7 +309,7 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
         return asymptotic_density(p)
     if route == "constant":
         if not p.is_constant:
-            raise DensityRouteError(f"{format_pattern(p)} is not constant")
+            raise DensityRouteError(f"{p} is not constant")
         return DensityValue(Fraction(1), "constant pattern packs perfectly")
     if route == "subword-overlap":
         return gen_layered_density(p)
@@ -345,10 +322,10 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
                 return layered_density_cap(
                     shape, config.ell, starts=config.starts, seed=config.seed
                 )
-        raise DensityRouteError(f"{format_pattern(p)} is not layered")
+        raise DensityRouteError(f"{p} is not layered")
     if not p.is_classical:
         raise DensityRouteError(
-            f"route {route!r} applies to classical patterns, not {format_pattern(p)}"
+            f"route {route!r} applies to classical patterns, not {p}"
         )
     candidates = symmetry_class(p, include_inverse=p.is_permutation)
     if route == "simple-product":
@@ -356,7 +333,7 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
             shape = layered_decompose(q)
             if shape is not None:
                 return simple_layered_density(shape)
-        raise DensityRouteError(f"{format_pattern(p)} is not layered")
+        raise DensityRouteError(f"{p} is not layered")
     if route in ("single-rise", "two-block"):
         for q in candidates:
             try:
@@ -368,19 +345,24 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
             if route == "single-rise" and len(mult) == 2 and mult[1] == 1:
                 return k1_density(mult[0])
         if route == "two-block":
-            raise DensityRouteError(f"{format_pattern(p)} is not a two-block pattern")
-        raise DensityRouteError(
-            f"{format_pattern(p)} is not a block of equal letters plus one rise"
-        )
+            raise DensityRouteError(f"{p} is not a two-block pattern")
+        raise DensityRouteError(f"{p} is not a block of equal letters plus one rise")
     if route == "three-block":
         for q in candidates:
             pqr = _pqr_shape(q.letters)
             if pqr is not None:
                 return pqr_density(*pqr)
-        raise DensityRouteError(
-            f"{format_pattern(p)} is not a low-high-low three-block pattern"
-        )
+        raise DensityRouteError(f"{p} is not a low-high-low three-block pattern")
     raise UsageError(f"unknown route {route!r}")
+
+
+def _density_obj(dv: DensityValue) -> Dict[str, object]:
+    return {
+        "value": dv.value if dv.exact else {"decimal": float(dv.value)},
+        "exact": dv.exact,
+        "provenance": dv.provenance,
+        "error_bound": dv.error_bound,
+    }
 
 
 def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
@@ -388,6 +370,8 @@ def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
         raise UsageError("density requires -p/--pattern")
     if config.starts < 0:
         raise UsageError("--starts must be a nonnegative integer")
+    if config.seed < 0:
+        raise UsageError("--seed must be a nonnegative integer")
     p = parse_pattern(config.pattern)
     try:
         dv = _route_density(config, p)
@@ -395,78 +379,55 @@ def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
         if isinstance(exc, UsageError):
             raise
         raise UsageError(str(exc))
-    report = _Report()
-    report.result = {
-        "pattern": format_pattern(p),
+    result = {"pattern": p, "route": config.route, **_density_obj(dv), "aux": dv.aux}
+    table = {
+        "pattern": p,
         "route": config.route,
-        "value": _value_obj(dv.value),
+        "density": dv.value if dv.exact else float(dv.value),
         "exact": dv.exact,
         "provenance": dv.provenance,
-        "error_bound": dv.error_bound,
-        "aux": _jsonsafe(dv.aux),
     }
-    report.row("pattern", format_pattern(p))
-    report.row("route", config.route)
-    if dv.exact:
-        report.row("density", f"{_frac_text(dv.value)} ({float(dv.value)!r})")
-    else:
-        report.row("density", repr(float(dv.value)))
-    report.row("exact", _bool_text(dv.exact))
-    report.row("provenance", dv.provenance)
     if dv.error_bound is not None:
-        report.row("error_bound", repr(dv.error_bound))
-    report.csv_columns = ["pattern", "route", "decimal", "error_bound", "provenance"]
-    report.csv_rows = [
-        [
-            format_pattern(p),
-            config.route,
-            float(dv.value),
-            "" if dv.error_bound is None else dv.error_bound,
-            dv.provenance,
-        ]
-    ]
-    return EXIT_OK, report
+        table["error_bound"] = dv.error_bound
+    row = {
+        "pattern": p,
+        "route": config.route,
+        "decimal": float(dv.value),
+        "error_bound": dv.error_bound,
+        "provenance": dv.provenance,
+    }
+    return EXIT_OK, _Report(result, table, [row])
 
 
-_SEARCH_CSV_COLUMNS = [
-    "n",
-    "k",
-    "mu",
-    "delta_num",
-    "delta_den",
-    "delta_decimal",
-    "witness",
-    "exhaustive",
-    "nodes",
-]
+def _search_obj(res: SearchResult) -> Dict[str, object]:
+    return {
+        "k": res.k,
+        "n": res.n,
+        "mu": res.count,
+        "denominator": res.denom,
+        "delta": res.density,
+        "witness": res.witness,
+        "exhaustive": res.exhaustive,
+    }
 
 
-def _search_row(res) -> List[object]:
-    return [
-        res.n,
-        res.k,
-        _frac_text(res.count),
-        res.density.numerator,
-        res.density.denominator,
-        float(res.density),
-        format_word(res.witness),
-        _bool_text(res.exhaustive),
-        res.nodes,
-    ]
+def _search_row(res: SearchResult) -> Dict[str, object]:
+    return {
+        "n": res.n,
+        "k": res.k,
+        "mu": str(res.count),
+        "delta": res.density,
+        "witness": res.witness,
+        "exhaustive": res.exhaustive,
+        "nodes": res.nodes,
+    }
 
 
-def _no_word(result: Dict[str, object], exc: RuntimeError) -> Tuple[int, _Report]:
+def _no_word(head: Dict[str, object], exc: RuntimeError) -> Tuple[int, _Report]:
     """A budget that completed no word: exit 2 with an inconclusive result."""
-    report = _Report()
-    report.result = dict(result, completed=False, error=str(exc), exhaustive=False)
-    report.stats = {"nodes": None}
-    report.row("error", str(exc))
-    report.row("exhaustive", "false")
-    report.csv_columns = list(report.result)
-    report.csv_rows = [
-        [_bool_text(v) if isinstance(v, bool) else v for v in report.result.values()]
-    ]
-    return EXIT_BUDGET, report
+    result = dict(head, completed=False, error=str(exc), exhaustive=False)
+    table = {"error": str(exc), "exhaustive": False}
+    return EXIT_BUDGET, _Report(result, table, [result], {"nodes": None})
 
 
 def _cmd_search(config: RunConfig) -> Tuple[int, _Report]:
@@ -478,30 +439,10 @@ def _cmd_search(config: RunConfig) -> Tuple[int, _Report]:
     try:
         res = max_count(p, config.k, config.n, budget, threads)
     except RuntimeError as exc:
-        head = {"pattern": format_pattern(p), "k": config.k, "n": config.n}
-        return _no_word(head, exc)
-    report = _Report()
-    report.result = {
-        "pattern": format_pattern(p),
-        "k": res.k,
-        "n": res.n,
-        "mu": _rational(res.count),
-        "denominator": res.denom,
-        "delta": _rational(res.density),
-        "witness": format_word(res.witness),
-        "exhaustive": res.exhaustive,
-    }
-    report.stats = {"nodes": res.nodes}
-    report.row("pattern", format_pattern(p))
-    report.row("k", res.k)
-    report.row("n", res.n)
-    report.row("mu", _frac_text(res.count))
-    report.row("denominator", res.denom)
-    report.row("delta", f"{_frac_text(res.density)} ({float(res.density)!r})")
-    report.row("witness", format_word(res.witness))
-    report.row("exhaustive", _bool_text(res.exhaustive))
-    report.csv_columns = list(_SEARCH_CSV_COLUMNS)
-    report.csv_rows = [_search_row(res)]
+        return _no_word({"pattern": p, "k": config.k, "n": config.n}, exc)
+    result = {"pattern": p, **_search_obj(res)}
+    table = dict(result, mu=str(res.count))
+    report = _Report(result, table, [_search_row(res)], {"nodes": res.nodes})
     return EXIT_OK if res.exhaustive else EXIT_BUDGET, report
 
 
@@ -520,42 +461,26 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
     try:
         series = delta_series(p, range(lo, hi + 1), config.k, budget, threads)
     except RuntimeError as exc:
-        return _no_word({"pattern": format_pattern(p), "k_policy": k_policy}, exc)
+        return _no_word({"pattern": p, "k_policy": k_policy}, exc)
     rows = series.rows
-    violations = [list(pair) for pair in series.violations]
-    report = _Report()
-    report.result = {
-        "pattern": format_pattern(p),
+    result = {
+        "pattern": p,
         "k_policy": k_policy,
-        "rows": [
-            {
-                "n": r.n,
-                "k": r.k,
-                "mu": _rational(r.count),
-                "denominator": r.denom,
-                "delta": _rational(r.density),
-                "witness": format_word(r.witness),
-                "exhaustive": r.exhaustive,
-            }
-            for r in rows
-        ],
-        "nonincreasing": not violations,
-        "violations": violations,
+        "rows": [_search_obj(r) for r in rows],
+        "nonincreasing": not series.violations,
+        "violations": series.violations,
     }
-    report.stats = {
+    stats = {
         "nodes_total": sum(r.nodes for r in rows),
         "nodes": [{"n": r.n, "nodes": r.nodes} for r in rows],
     }
-    for r in rows:
-        report.row(
-            f"n={r.n} k={r.k}",
-            f"mu={_frac_text(r.count)} delta={_frac_text(r.density)} "
-            f"({float(r.density)!r}) witness={format_word(r.witness)}"
-            + ("" if r.exhaustive else " [budget hit]"),
-        )
-    report.row("nonincreasing", _bool_text(not violations))
-    report.csv_columns = list(_SEARCH_CSV_COLUMNS)
-    report.csv_rows = [_search_row(r) for r in rows]
+    table: Dict[str, object] = {
+        f"n={r.n} k={r.k}": f"mu={r.count} delta={_text(r.density)} "
+        f"witness={r.witness}" + ("" if r.exhaustive else " [budget hit]")
+        for r in rows
+    }
+    table["nonincreasing"] = not series.violations
+    report = _Report(result, table, [_search_row(r) for r in rows], stats)
     exhaustive = all(r.exhaustive for r in rows)
     return EXIT_OK if exhaustive else EXIT_BUDGET, report
 
@@ -573,7 +498,7 @@ def _parse_proportions(text: str) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _require(config: RunConfig, builder: str, **needed: Optional[object]) -> None:
+def _require(builder: str, **needed: Optional[object]) -> None:
     missing = [flag for flag, value in needed.items() if value is None]
     if missing:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in missing)
@@ -583,31 +508,28 @@ def _require(config: RunConfig, builder: str, **needed: Optional[object]) -> Non
 def _build(config: RunConfig) -> Construction:
     b = config.builder
     if b == "balanced":
-        _require(config, b, n=config.n, k=config.k)
+        _require(b, n=config.n, k=config.k)
         return balanced_monotone_word(config.n, config.k, config.ident)
     if b == "pqr":
-        _require(config, b, p=config.p, q=config.q, r=config.r, n=config.n)
+        _require(b, p=config.p, q=config.q, r=config.r, n=config.n)
         return pqr_word(config.p, config.q, config.r, config.n)
     if b == "nested":
-        _require(
-            config, b, p=config.p, q=config.q, s=config.s,
-            depth=config.depth, n=config.n,
-        )
+        _require(b, p=config.p, q=config.q, s=config.s, depth=config.depth, n=config.n)
         return nested_word(config.p, config.q, config.s, config.depth, config.n)
     if b == "layered":
-        _require(config, b, proportions=config.proportions, n=config.n)
+        _require(b, proportions=config.proportions, n=config.n)
         target = parse_pattern(config.pattern) if config.pattern else None
         return layered_word(
             _parse_proportions(config.proportions), config.n, config.mode, target
         )
     if b == "super-word":
-        _require(config, b, l=config.l, m=config.m)
+        _require(b, l=config.l, m=config.m)
         return superpattern_word(config.l, config.m)
     if b == "twelve-one":
-        _require(config, b, n=config.n, d=config.d)
+        _require(b, n=config.n, d=config.d)
         return twelve_one_word(config.n, config.d)
     if b == "sqrt-layers":
-        _require(config, b, n=config.n)
+        _require(b, n=config.n)
         return sqrt_layer_perm(config.n)
     raise UsageError(f"unknown builder {b!r}")
 
@@ -620,44 +542,35 @@ def _cmd_construct(config: RunConfig) -> Tuple[int, _Report]:
     verified = recounts == built.predicted_counts
     if config.builder == "super-word":
         verified = verified and is_universal(built.word, config.l, config.m)[0]
-    report = _Report()
+    status = EXIT_OK if verified else EXIT_INTERNAL
     if config.emit == "word":
-        report.result = {"word": format_word(built.word)}
-        report.table = [(format_word(built.word), "")]
-        report.csv_columns = ["word"]
-        report.csv_rows = [[format_word(built.word)]]
-    else:
-        report.result = {
-            "builder": config.builder,
-            "recipe": built.recipe,
-            "word": format_word(built.word),
-            "n": built.word.n,
-            "k": built.word.k,
-            "targets": [format_pattern(t) for t in built.targets],
-            "predicted_counts": list(built.predicted_counts),
-            "recounts": list(recounts),
-            "predicted_density": (
-                None
-                if built.predicted_density is None
-                else _rational(built.predicted_density)
-            ),
-            "verified": verified,
-        }
-        report.row("builder", config.builder)
-        report.row("recipe", built.recipe)
-        report.row("word", format_word(built.word))
-        report.row("length", built.word.n)
-        report.row("alphabet", built.word.k)
-        for t, c, rc in zip(built.targets, built.predicted_counts, recounts):
-            report.row(f"count[{format_pattern(t)}]", f"predicted={c} recounted={rc}")
-        if built.predicted_density is not None:
-            report.row(
-                "density",
-                f"{_frac_text(built.predicted_density)} "
-                f"({float(built.predicted_density)!r})",
-            )
-        report.row("verified", _bool_text(verified))
-    return (EXIT_OK if verified else EXIT_INTERNAL), report
+        result = {"word": built.word}
+        return status, _Report(result, {str(built.word): ""}, [result])
+    result = {
+        "builder": config.builder,
+        "recipe": built.recipe,
+        "word": built.word,
+        "n": built.word.n,
+        "k": built.word.k,
+        "targets": built.targets,
+        "predicted_counts": built.predicted_counts,
+        "recounts": recounts,
+        "predicted_density": built.predicted_density,
+        "verified": verified,
+    }
+    table: Dict[str, object] = {
+        "builder": config.builder,
+        "recipe": built.recipe,
+        "word": built.word,
+        "length": built.word.n,
+        "alphabet": built.word.k,
+    }
+    for t, c, rc in zip(built.targets, built.predicted_counts, recounts):
+        table[f"count[{t}]"] = f"predicted={c} recounted={rc}"
+    if built.predicted_density is not None:
+        table["density"] = built.predicted_density
+    table["verified"] = verified
+    return status, _Report(result, table)
 
 
 def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
@@ -667,67 +580,55 @@ def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
     threads = _resolve_threads(config)
     res = shortest_superpattern(config.l, config.m, budget, threads=threads)
     universe = pattern_universe(config.l, config.m)
-    report = _Report()
-    report.result = {
+    result = {
         "l": res.l,
         "m": res.m,
         "universe_size": universe.size,
         "length": res.length,
-        "witness": format_word(res.witness),
+        "witness": res.witness,
         "lower_bound": res.lower_bound,
         "lower_bound_certified": res.lower_bound_certified,
         "log": [{"length": v.length, "verdict": v.verdict} for v in res.log],
     }
-    report.stats = {
+    stats = {
         "nodes_total": res.nodes,
         "nodes": [{"length": v.length, "nodes": v.nodes} for v in res.log],
     }
-    report.row("l", res.l)
-    report.row("m", res.m)
-    report.row("universe", f"{universe.size} patterns")
-    report.row("length", res.length)
-    report.row("witness", format_word(res.witness))
-    report.row(
-        "lower_bound",
-        f"{res.lower_bound}"
-        + (" (certified)" if res.lower_bound_certified else " (budget hit)"),
-    )
-    report.row("log", "; ".join(f"{v.length} {v.verdict}" for v in res.log))
-    return (EXIT_OK if res.lower_bound_certified else EXIT_BUDGET), report
+    certified = " (certified)" if res.lower_bound_certified else " (budget hit)"
+    table = {
+        "l": res.l,
+        "m": res.m,
+        "universe": f"{universe.size} patterns",
+        "length": res.length,
+        "witness": res.witness,
+        "lower_bound": f"{res.lower_bound}{certified}",
+        "log": "; ".join(f"{v.length} {v.verdict}" for v in res.log),
+    }
+    status = EXIT_OK if res.lower_bound_certified else EXIT_BUDGET
+    return status, _Report(result, table, stats=stats)
 
 
 def _cmd_table3(config: RunConfig) -> Tuple[int, _Report]:
-    table = three_letter_table()
-    report = _Report()
-    rows = {}
-    for text in sorted(table):
-        dv = table[text]
-        rows[text] = {
-            "value": _value_obj(dv.value),
-            "exact": dv.exact,
-            "provenance": dv.provenance,
+    values = sorted(three_letter_table().items())
+    result = {"rows": {text: _density_obj(dv) for text, dv in values}}
+    table = {text: f"{float(dv.value)!r}  [{dv.provenance}]" for text, dv in values}
+    rows = [
+        {
+            "pattern": text,
+            "decimal": float(dv.value),
             "error_bound": dv.error_bound,
+            "provenance": dv.provenance,
         }
-        report.row(text, f"{float(dv.value)!r}  [{dv.provenance}]")
-    report.result = {"rows": rows}
-    report.csv_columns = ["pattern", "decimal", "error_bound", "provenance"]
-    report.csv_rows = [
-        [
-            text,
-            float(table[text].value),
-            "" if table[text].error_bound is None else table[text].error_bound,
-            table[text].provenance,
-        ]
-        for text in sorted(table)
+        for text, dv in values
     ]
-    return EXIT_OK, report
+    return EXIT_OK, _Report(result, table, rows)
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 
 
-def _suite_monotonicity() -> Tuple[bool, Dict[str, object]]:
+def _suite_monotonicity(seed: int) -> Tuple[bool, Dict[str, object]]:
     """Finite densities never increase with n, never decrease with k, and
     saturate once k reaches n."""
     texts = ["112", "121", "1122", "12-1"]
@@ -770,42 +671,26 @@ def _suite_restriction(seed: int) -> Tuple[bool, Dict[str, object]]:
         rep = verify_perm_restriction(parse_pattern(text), 6)
         detail[text] = {
             "n": rep.n,
-            "word_max": _rational(rep.word_max),
-            "perm_max": _rational(rep.perm_max),
+            "word_max": rep.word_max,
+            "perm_max": rep.perm_max,
             "equal": rep.equal,
         }
         passed = passed and rep.equal
     tb = verify_tiebreak_map(parse_pattern("132"), 6, samples=300, seed=seed)
-    detail["tiebreak"] = {
-        "n": tb.n,
-        "samples": tb.samples,
-        "violations": tb.violations,
-    }
+    detail["tiebreak"] = asdict(tb)
     return passed and tb.violations == 0, detail
 
 
-def _suite_layered_witness() -> Tuple[bool, Dict[str, object]]:
+def _suite_layered_witness(seed: int) -> Tuple[bool, Dict[str, object]]:
     """Layered pattern sets admit layered maximizers; with every layer of
     size >= 2 all maximizers are layered."""
-    detail: Dict[str, object] = {}
-    rep = verify_layered_witness(parse_pattern("2143"), 6)
-    detail["2143"] = {
-        "n": rep.n,
-        "mu": _rational(rep.mu),
-        "layered_maximizer_exists": rep.layered_maximizer_exists,
-        "all_maximizers_layered": rep.all_maximizers_layered,
-        "maximizers": rep.maximizers,
+    reps = {
+        text: verify_layered_witness(parse_pattern(text), 6)
+        for text in ("2143", "132")
     }
-    ok = rep.layered_maximizer_exists and rep.all_maximizers_layered is True
-    rep2 = verify_layered_witness(parse_pattern("132"), 6)
-    detail["132"] = {
-        "n": rep2.n,
-        "mu": _rational(rep2.mu),
-        "layered_maximizer_exists": rep2.layered_maximizer_exists,
-        "all_maximizers_layered": rep2.all_maximizers_layered,
-        "maximizers": rep2.maximizers,
-    }
-    return ok and rep2.layered_maximizer_exists, detail
+    passed = all(rep.layered_maximizer_exists for rep in reps.values())
+    passed = passed and reps["2143"].all_maximizers_layered is True
+    return passed, {text: asdict(rep) for text, rep in reps.items()}
 
 
 def _compositions(total: int) -> List[Tuple[int, ...]]:
@@ -818,7 +703,7 @@ def _compositions(total: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _suite_overlap_formula() -> Tuple[bool, Dict[str, object]]:
+def _suite_overlap_formula(seed: int) -> Tuple[bool, Dict[str, object]]:
     """The closed-form minimal self-overlap shift matches the direct oracle
     on every nondecreasing nonconstant block pattern of length <= 6."""
     checks = 0
@@ -855,26 +740,28 @@ def _suite_overlap_formula() -> Tuple[bool, Dict[str, object]]:
     }
 
 
+#: every suite takes the run's --seed; only "restriction" samples
+_SUITES = {
+    "monotonicity": _suite_monotonicity,
+    "restriction": _suite_restriction,
+    "layered-witness": _suite_layered_witness,
+    "overlap-formula": _suite_overlap_formula,
+}
+
+
 def _cmd_verify(config: RunConfig) -> Tuple[int, _Report]:
-    wanted = _SUITES if config.suite == "all" else (config.suite,)
-    report = _Report()
-    suites: Dict[str, object] = {}
-    all_passed = True
+    wanted = list(_SUITES) if config.suite == "all" else [config.suite]
+    suites: Dict[str, Dict[str, object]] = {}
     for name in wanted:
-        if name == "monotonicity":
-            passed, detail = _suite_monotonicity()
-        elif name == "restriction":
-            passed, detail = _suite_restriction(config.seed)
-        elif name == "layered-witness":
-            passed, detail = _suite_layered_witness()
-        elif name == "overlap-formula":
-            passed, detail = _suite_overlap_formula()
-        else:
+        if name not in _SUITES:
             raise UsageError(f"unknown suite {name!r}")
+        passed, detail = _SUITES[name](config.seed)
         suites[name] = {"passed": passed, "detail": detail}
-        all_passed = all_passed and passed
-        report.row(name, "pass" if passed else "FAIL")
-    report.result = {"suites": suites, "passed": all_passed}
+    all_passed = all(suite["passed"] for suite in suites.values())
+    table = {
+        name: "pass" if suite["passed"] else "FAIL" for name, suite in suites.items()
+    }
+    report = _Report({"suites": suites, "passed": all_passed}, table)
     return (EXIT_OK if all_passed else EXIT_INTERNAL), report
 
 
@@ -998,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run the library's property suites",
                          allow_abbrev=False)
-    sp.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    sp.add_argument("--suite", choices=("all", *_SUITES), default="all")
     sp.add_argument("--seed", type=int, default=12345)
     _add_output_flags(sp)
 
