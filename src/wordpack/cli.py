@@ -313,26 +313,23 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
         return DensityValue(Fraction(1), "constant pattern packs perfectly")
     if route == "subword-overlap":
         return gen_layered_density(p)
-    if route == "cap":
-        if config.ell is None:
-            raise UsageError("route 'cap' requires --ell (number of layers)")
-        for q in symmetry_class(p, include_inverse=p.is_permutation):
-            shape = layered_decompose(q)
-            if shape is not None:
-                return layered_density_cap(
-                    shape, config.ell, starts=config.starts, seed=config.seed
-                )
-        raise DensityRouteError(f"{p} is not layered")
+    if route == "cap" and config.ell is None:
+        raise UsageError("route 'cap' requires --ell (number of layers)")
     if not p.is_classical:
         raise DensityRouteError(
             f"route {route!r} applies to classical patterns, not {p}"
         )
     candidates = symmetry_class(p, include_inverse=p.is_permutation)
-    if route == "simple-product":
+    if route in ("cap", "simple-product"):
         for q in candidates:
             shape = layered_decompose(q)
-            if shape is not None:
+            if shape is None:
+                continue
+            if route == "simple-product":
                 return simple_layered_density(shape)
+            return layered_density_cap(
+                shape, config.ell, starts=config.starts, seed=config.seed
+            )
         raise DensityRouteError(f"{p} is not layered")
     if route in ("single-rise", "two-block"):
         for q in candidates:

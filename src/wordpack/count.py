@@ -28,9 +28,12 @@ class Automaton:
     very next letter or die.  ``count`` is the number of occurrences in the
     letters fed so far; ``push`` feeds one letter and ``pop`` undoes the
     last push, each returning the occurrences that letter completed.
+    Along push and pop, ``free_tot[j]`` and ``hot_tot[j]`` hold the summed
+    counts of the free and hot states with j letters matched.
     """
 
-    __slots__ = ("m", "steps", "hyphens", "free", "hot", "count", "_undo")
+    __slots__ = ("m", "steps", "hyphens", "free", "hot", "free_tot", "hot_tot",
+                 "count", "_undo")
 
     def __init__(self, p: Pattern) -> None:
         self.m = p.m
@@ -51,28 +54,34 @@ class Automaton:
         self.hyphens = p.hyphens
         self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * p.l): 1}
         self.hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        self.free_tot = [1] + [0] * (p.m - 1)
+        self.hot_tot = [0] * p.m
         self.count = 0
-        self._undo: List[Tuple[list, dict, int]] = []
+        self._undo: List[Tuple[list, dict, List[int], int]] = []
 
     def push(self, x: int) -> int:
         return self._run((x,), self._undo)
 
     def pop(self) -> int:
-        log, hot, delta = self._undo.pop()
+        log, hot, hot_tot, delta = self._undo.pop()
         free = self.free
+        free_tot = self.free_tot
         for key, prev in reversed(log):
             if prev is None:
-                del free[key]
+                free_tot[key[0]] -= free.pop(key)
             else:
+                free_tot[key[0]] -= free[key] - prev
                 free[key] = prev
         self.hot = hot
+        self.hot_tot = hot_tot
         self.count -= delta
         return delta
 
     def _run(self, letters: Sequence[int], undo: Optional[list]) -> int:
         """Feed letters in order and return the occurrences they complete.
         When undo is a list, one record per letter is appended to it for
-        pop; a one-shot count passes None and keeps no record."""
+        pop and the level totals are kept; a one-shot count passes None and
+        keeps neither."""
         m = self.m
         steps = self.steps
         hyphens = self.hyphens
@@ -111,11 +120,16 @@ class Automaton:
                     free[key] = free.get(key, 0) + cnt
             else:
                 log = []
+                free_tot = self.free_tot
                 for key, cnt in free_add:
                     prev = free.get(key)
                     log.append((key, prev))
                     free[key] = cnt if prev is None else prev + cnt
-                undo.append((log, hot, delta))
+                    free_tot[key[0]] += cnt
+                undo.append((log, hot, self.hot_tot, delta))
+                hot_tot = self.hot_tot = [0] * m
+                for (j, _), cnt in new_hot.items():
+                    hot_tot[j] += cnt
             hot = new_hot
             total += delta
         self.hot = hot

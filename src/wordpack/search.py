@@ -15,11 +15,23 @@ int8 array a letter column at a time: its full-depth words serve
 enumerate_canonical and the sweep, its depth-2 prefixes are the root shards
 of the branch and bound.  The sweep, for each set of positions an
 occurrence may take, compares m - 1 pairs of columns to find the words
-order-isomorphic to the pattern.
-Both track the best word per alphabet-support size d, so one sweep of the
-n-letter space answers every k at once.  Every budgeted search, here and in
-superpattern, splits its nodes over shards with _shares and counts them
-with a _Meter.
+order-isomorphic to the pattern.  The sweep tracks the best word per
+alphabet-support size d, so one sweep of the n-letter space answers every
+k at once.
+
+The branch and bound bounds a prefix of length t by its count plus, per
+pattern, what the rem = n - t letters left can add.  Every later
+occurrence extends exactly one partial match the automaton stores (the
+empty one included), so the partial matches with j letters matched add at
+most their count times C(rem, m - j); the automaton keeps those counts per
+j.  Each pattern's share is capped by the placements that reach past the
+prefix.  max_count prunes against one incumbent, the best count so far,
+carried across the lex-ordered root shards: it recurses only while the
+bound beats the incumbent, so a pruned subtree could at most tie one found
+earlier and the witness stays lex-least.  max_count_by_alphabet prunes
+each shard against its own per-d bests instead.  Every budgeted search,
+here and in superpattern, splits its nodes over shards with _shares and
+counts them with a _Meter.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -173,27 +186,34 @@ def _shares(total: Optional[int], parts: int) -> List[Optional[int]]:
 
 
 class _Shard:
-    """Branch-and-bound DFS over one canonical subtree, tracking per-d
-    maxima (d = alphabet support of the complete word)."""
+    """Branch-and-bound DFS over one canonical subtree.  With incumbent None
+    it tracks the best count per d (the alphabet support of the complete
+    word) from -1, each pruning against the least of the d it can reach;
+    with an int it tracks one best over every d in slot 0, starting from
+    that count."""
 
     def __init__(
         self,
         entries: List[Tuple[Pattern, int]],
         n: int,
         cap: int,
-        crem: List[int],
-        wsum: int,
         meter: _Meter,
+        incumbent: Optional[int],
     ) -> None:
         self.n = n
         self.cap = cap
-        self.crem = crem
-        self.wsum = wsum
         self.meter = meter
         self.automata = [Automaton(p) for p, _ in entries]
         self.weights = [w for _, w in entries]
-        self.best: List[int] = [-1] * (cap + 1)
-        self.bestw: List[Optional[Tuple[int, ...]]] = [None] * (cap + 1)
+        m, b = entries[0][0].m, entries[0][0].b
+        total = occurrence_denominator(m, b, n)
+        # placements that reach past a prefix of length t, and the ways
+        # to put the last m - j letters of a match among rem later letters
+        self.crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
+        self.ways = [[comb(rem, m - j) for j in range(m)] for rem in range(n + 1)]
+        self.per_d = incumbent is None
+        self.best: List[int] = [-1] * (cap + 1) if self.per_d else [incumbent]
+        self.bestw: List[Optional[Tuple[int, ...]]] = [None] * len(self.best)
         self.exhausted = False
         self.prefix: List[int] = []
         self.used = [0] * (cap + 2)
@@ -212,6 +232,22 @@ class _Shard:
         for a, w in zip(self.automata, self.weights):
             self.cur -= w * a.pop()
 
+    def bound(self) -> int:
+        """The most any completion of the prefix can count: every later
+        occurrence extends one partial match with j letters matched (the
+        empty one included) by m - j of the rem letters left, and at most
+        crem placements reach them, per pattern."""
+        t = len(self.prefix)
+        ways = self.ways[self.n - t]
+        cap = self.crem[t]
+        bound = self.cur
+        for a, w in zip(self.automata, self.weights):
+            s = sum(map(mul, a.free_tot, ways))
+            if a.hot:
+                s += sum(map(mul, a.hot_tot, ways))
+            bound += w * (s if s < cap else cap)
+        return bound
+
     def run(self, prefix: Sequence[int]) -> None:
         try:
             for x in prefix:
@@ -225,19 +261,21 @@ class _Shard:
 
     def _dfs(self, t: int, maxv: int, dcount: int) -> None:
         n = self.n
+        best = self.best
         for x, newmax, newd in _next_letters(n, self.cap, t, maxv, dcount, self.used):
             self._push(x)
             if t + 1 == n:
-                c = self.cur
-                if c > self.best[newd]:
-                    self.best[newd] = c
-                    self.bestw[newd] = tuple(self.prefix)
+                i = newd if self.per_d else 0
+                if self.cur > best[i]:
+                    best[i] = self.cur
+                    self.bestw[i] = tuple(self.prefix)
             else:
-                bound = self.cur + self.wsum * self.crem[t + 1]
-                dlo = max(newmax, 1)
-                dhi = min(self.cap, newd + n - t - 1)
-                floor = min(self.best[d] for d in range(dlo, dhi + 1))
-                if bound > floor:
+                if self.per_d:  # the d a completion can have: newmax up to dhi
+                    dhi = min(self.cap, newd + n - t - 1)
+                    floor = min(best[newmax:dhi + 1])
+                else:
+                    floor = best[0]
+                if self.bound() > floor:
                     self._dfs(t + 1, newmax, newd)
             self._pop()
 
@@ -247,12 +285,9 @@ def _dfs_by_alphabet(
     n: int,
     cap: int,
     budget: SearchBudget,
+    per_d: bool,
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
-    m, b = ps.m, ps.b
-    total = occurrence_denominator(m, b, n)
-    crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
-    wsum = sum(w for _, w in entries)
     # a fixed lex-ordered list of root prefixes, so the node budget's split
     # and the results depend only on (n, cap); built outside the cache of
     # word arrays, which a budgeted run leaves as it is
@@ -260,17 +295,19 @@ def _dfs_by_alphabet(
     max_seconds = budget.max_seconds
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
-    perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}  # slot 0: the incumbent
     nodes = 0
     exhausted = False
     for prefix, allowance in zip(plan, _shares(budget.max_nodes, len(plan))):
-        shard = _Shard(entries, n, cap, crem, wsum, _Meter(allowance, deadline))
+        incumbent = None if per_d else perd.get(0, (-1,))[0]
+        shard = _Shard(entries, n, cap, _Meter(allowance, deadline), incumbent)
         shard.run(prefix)
         nodes += shard.meter.nodes
         exhausted = exhausted or shard.exhausted
-        for d in range(1, cap + 1):  # lex order of the plan keeps witnesses lex-least
-            if shard.best[d] > perd.get(d, (-1, ()))[0]:
-                perd[d] = (shard.best[d], shard.bestw[d])
+        # lex order of the plan, and only strict gains, keep witnesses lex-least
+        for i, (c, w) in enumerate(zip(shard.best, shard.bestw)):
+            if w is not None and c > perd.get(i, (-1,))[0]:
+                perd[i] = (c, w)
     return perd, nodes, not exhausted, scale
 
 
@@ -361,11 +398,13 @@ def _as_set(ps: Union[Pattern, WeightedPatternSet]) -> WeightedPatternSet:
 
 
 def _by_alphabet(
-    ps: WeightedPatternSet, n: int, cap: int, budget: Optional[SearchBudget]
+    ps: WeightedPatternSet, n: int, cap: int, budget: Optional[SearchBudget],
+    per_d: bool,
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     """(per-d best count and witness for d <= cap, nodes, exhaustive, weight
     scale): the exhaustive vectorized sweep when no budget is given, branch
-    and bound otherwise."""
+    and bound otherwise, which without per_d keeps only the overall best,
+    under key 0."""
     if n < ps.m:
         raise ValueError(f"n={n} shorter than pattern length m={ps.m}")
     if budget is None or not budget.bounded:
@@ -375,7 +414,7 @@ def _by_alphabet(
                 f"exhaustive search over {total} words; supply a node budget"
             )
         return _vector_by_alphabet(ps, n, cap)
-    return _dfs_by_alphabet(ps, n, cap, budget)
+    return _dfs_by_alphabet(ps, n, cap, budget, per_d)
 
 
 def _result(
@@ -398,7 +437,7 @@ def max_count_by_alphabet(
     exactly d distinct letters, for every d, in one sweep.  ``threads`` is
     accepted for compatibility and has no effect."""
     ps = _as_set(ps)
-    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, n, budget)
+    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, n, budget, True)
     return {
         d: _result(ps, best, scale, d, n, nodes, exhaustive)
         for d, best in sorted(perd.items())
@@ -419,7 +458,7 @@ def max_count(
     ps = _as_set(ps)
     if k < 1:
         raise ValueError("alphabet size k must be positive")
-    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, min(k, n), budget)
+    perd, nodes, exhaustive, scale = _by_alphabet(ps, n, min(k, n), budget, False)
     if not perd:
         raise RuntimeError("search explored no complete word")
     best = min(perd.values(), key=lambda cw: (-cw[0], cw[1]))

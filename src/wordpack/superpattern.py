@@ -1,18 +1,23 @@
 """Universality checking and shortest-superpattern search.
 
 A word is universal for (l, m) when it classically contains every pattern
-of length m on at most l distinct letters.  ``shortest_superpattern`` finds
-the least length admitting a universal word by iterative deepening: each
-candidate length is searched exhaustively by a DFS over words in
-first-occurrence-canonical form (each new letter value appears in
-increasing order), in lexicographic order, so the first witness found is
-the lexicographically least one.
+of length m on at most l distinct letters.  ``is_universal`` accepts words
+on any alphabet, but ``shortest_superpattern`` certifies lengths over
+words on [l] only: a word on more values can be shorter (``13541425141``,
+on 5 values, is universal for (4, 4) with 11 letters, where words on [4]
+need 12).  It finds the least length admitting a universal word on [l] by
+iterative deepening: each candidate length is searched exhaustively by a
+DFS over words in first-occurrence-canonical form (each new letter value
+appears in increasing order), in lexicographic order, so the first witness
+found is the lexicographically least such word.
 
-The restriction to first-occurrence-canonical words is lossless: the
-universe is the set of all patterns, so relabeling a universal word to its
-first-occurrence form preserves universality, and the relabeled form is
-never lexicographically larger.  This was verified exhaustively for every
-(l, m, length) this module can certify.
+The first-occurrence restriction is not proven lossless: a relabeling of
+values that is not monotone changes which patterns a word contains.  What
+is known: enumerating every word on [l] without the restriction gives the
+same shortest lengths and least witnesses for (2,2), (2,3), (3,3), (2,4),
+(2,5) and (3,4), although 35 of the 42 universal words of length 7 for
+(3,3) are not first-occurrence-canonical.  Larger lengths, (4,4) among
+them, are certified under the restriction.
 
 Pruning is admissible on two counts: a missing pattern whose longest
 contained prefix leaves more letters to place than remain kills the
@@ -254,7 +259,9 @@ def shortest_superpattern(
     reverse_shards: bool = False,
     threads: int = 1,
 ) -> SuperResult:
-    """Least length of a universal word for (l, m), by iterative deepening.
+    """Least length of a universal word for (l, m) on the letters [l], by
+    iterative deepening over first-occurrence-canonical words (see the
+    module docstring for what that restriction is known to keep).
 
     Starts from the counting lower bound (C(L, m) must reach the universe
     size) and searches each length exhaustively until a witness appears;

@@ -106,6 +106,11 @@ class TestDensity:
     def test_wrong_route_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "123", "--route", "three-block")
         assert code == EXIT_USAGE and "three-block" in err
+        code, out, err = run_cli(
+            capsys, "density", "-p", "1-32", "--route", "cap", "--ell", "3"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "wordpack: error: route 'cap' applies to classical patterns, not 1-32\n"
 
     def test_cap_route_requires_ell(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "1122", "--route", "cap")
@@ -459,13 +464,13 @@ pattern,k,n,completed,error,exhaustive
 """),
     ("series -p 121 --n-range 6:7 --budget-nodes 20000", "table", EXIT_BUDGET, """\
 n=6 k=6        mu=8 delta=2/5 (0.4) witness=112211
-n=7 k=7        mu=12 delta=12/35 (0.34285714285714286) witness=1112211 [budget hit]
+n=7 k=7        mu=13 delta=13/35 (0.37142857142857144) witness=1123211 [budget hit]
 nonincreasing  true
 """),
     ("series -p 121 --n-range 6:7 --budget-nodes 20000", "csv", EXIT_BUDGET, """\
 n,k,mu,delta_num,delta_den,delta_decimal,witness,exhaustive,nodes
-6,6,8,2,5,0.4,112211,true,8356
-7,7,12,12,35,0.34285714285714286,1112211,false,18839
+6,6,8,2,5,0.4,112211,true,2771
+7,7,13,13,35,0.37142857142857144,1123211,false,14519
 """),
     ("construct --builder balanced -n 16 -k 4 --emit json", "table", EXIT_OK, """\
 builder      balanced

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wordpack.core import Pattern, Word, flatten, parse_pattern, parse_word
-from wordpack.count import count_generalized, weighted_count
+from wordpack import search
+from wordpack.core import (
+    Pattern,
+    WeightedPatternSet,
+    Word,
+    flatten,
+    parse_pattern,
+    parse_word,
+)
+from wordpack.count import count_generalized, occurrence_denominator, weighted_count
 from wordpack.search import (
     SearchBudget,
     _canonical_array,
     _count_vector,
+    _normalize_weights,
     _shares,
     canonical_count,
     delta_series,
@@ -177,7 +187,7 @@ class TestBranchAndBound:
         """10007 nodes over the 49 root prefixes of n=8, cap 7 leave a
         remainder of 11, which the node count shows."""
         r = max_count(parse_pattern("121"), 7, 8, budget=SearchBudget(10007))
-        assert (r.nodes, r.count, str(r.witness)) == (10007, 17, "12113211")
+        assert (r.nodes, r.count, str(r.witness)) == (10007, 18, "11122111")
         assert not r.exhaustive
 
     def test_budget_split_rule(self):
@@ -197,6 +207,96 @@ class TestBranchAndBound:
     def test_unbudgeted_oversize_refused(self):
         with pytest.raises(ValueError, match="budget"):
             max_count(parse_pattern("123"), 12, 12)
+
+
+def _weighted(*pairs):
+    return WeightedPatternSet(tuple((parse_pattern(t), Fraction(w)) for t, w in pairs))
+
+
+#: budgeted runs checked against the sweep: k < n, hyphenated patterns and
+#: sets with fractional (and zero) weights
+_CROSS_CHECKS = [
+    ("121", parse_pattern("121"), 3, 7),
+    ("132", parse_pattern("132"), 3, 7),
+    ("1122", parse_pattern("1122"), 2, 7),
+    ("1-2-1", parse_pattern("1-2-1"), 3, 7),
+    ("2-13", parse_pattern("2-13"), 3, 7),
+    ("2-13 k5", parse_pattern("2-13"), 5, 6),
+    ("132+123+213", _weighted(("132", "1/3"), ("123", "3/4"), ("213", 0)), 4, 6),
+    ("12-1+21-2", _weighted(("12-1", "1/2"), ("21-2", "2/3")), 3, 7),
+]
+
+
+class TestBranchAndBoundAgainstSweep:
+    @pytest.mark.parametrize(
+        "ps, k, nmax", [c[1:] for c in _CROSS_CHECKS], ids=[c[0] for c in _CROSS_CHECKS]
+    )
+    def test_max_count(self, ps, k, nmax):
+        for n in range(ps.m, nmax + 1):
+            vec = max_count(ps, k, n)
+            dfs = max_count(ps, k, n, budget=SearchBudget(10 ** 9))
+            assert dfs.exhaustive
+            assert (dfs.count, dfs.witness) == (vec.count, vec.witness), n
+
+    @pytest.mark.parametrize("text", ["121", "1-2-1", "2-13", "1122", "2143"])
+    def test_max_count_by_alphabet(self, text):
+        p = parse_pattern(text)
+        vec = max_count_by_alphabet(p, 6)
+        dfs = max_count_by_alphabet(p, 6, budget=SearchBudget(10 ** 9))
+        assert sorted(dfs) == sorted(vec) == list(range(1, 7))
+        for d in vec:
+            assert dfs[d].exhaustive
+            assert (dfs[d].count, dfs[d].witness) == (vec[d].count, vec[d].witness), d
+
+    @pytest.mark.parametrize(
+        "ps, k, n, per_d",
+        [
+            (parse_pattern("121"), 3, 6, False),
+            (parse_pattern("121"), 5, 5, True),
+            (parse_pattern("1-2-1"), 3, 6, False),
+            (parse_pattern("1-2-1"), 5, 5, True),
+            (parse_pattern("2-13"), 3, 6, False),
+            (parse_pattern("2-13"), 5, 5, True),
+            (parse_pattern("12-1"), 5, 5, False),
+            (_weighted(("12-1", "1/2"), ("21-2", "2/3")), 3, 6, False),
+            (_weighted(("12-1", "1/2"), ("21-2", "2/3")), 5, 5, True),
+        ],
+        ids=["121", "121-by-d", "1-2-1", "1-2-1-by-d", "2-13", "2-13-by-d", "12-1",
+             "12-1+21-2", "12-1+21-2-by-d"],
+    )
+    def test_bound_covers_every_completion(self, monkeypatch, ps, k, n, per_d):
+        """At every node a run bounds, the bound is at least the weighted
+        count of every word on [k] that extends the node's prefix, and at
+        most the count so far plus every placement that reaches past it."""
+        if isinstance(ps, Pattern):
+            ps = WeightedPatternSet.single(ps)
+        bounds = {}
+
+        class Recording(search._Shard):
+            def bound(self):
+                b = super().bound()
+                bounds[tuple(self.prefix)] = (b, self.cur)
+                return b
+
+        monkeypatch.setattr(search, "_Shard", Recording)
+        if per_d:  # the by-alphabet search runs over every word on [n]
+            assert k == n
+            max_count_by_alphabet(ps, n, budget=SearchBudget(10 ** 9))
+        else:
+            max_count(ps, k, n, budget=SearchBudget(10 ** 9))
+        assert bounds
+        entries, scale = _normalize_weights(ps)
+        wsum = sum(w for _, w in entries)
+        best = {}
+        for letters in itertools.product(range(1, k + 1), repeat=n):
+            c = weighted_count(ps, Word(letters)) * scale
+            for t in range(1, n):
+                best[letters[:t]] = max(best.get(letters[:t], 0), c)
+        for prefix, (b, cur) in bounds.items():
+            reach = occurrence_denominator(ps.m, ps.b, n) - occurrence_denominator(
+                ps.m, ps.b, len(prefix)
+            )
+            assert best[prefix] <= b <= cur + wsum * reach, prefix
 
 
 class TestByAlphabet:

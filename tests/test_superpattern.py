@@ -100,6 +100,15 @@ class TestIsUniversal:
         ok, _ = is_universal(Word((1, 2, 1)), 9, 2)
         assert ok
 
+    def test_more_values_than_l_can_be_shorter(self):
+        """Lengths are certified over words on [l]: this word on 5 values
+        is universal for (4, 4) with 11 letters, one fewer than the
+        shortest word on [4]."""
+        letters = tuple(map(int, "13541425141"))
+        assert is_universal(Word(letters), 4, 4) == (True, ())
+        assert brute_is_universal(letters, 4, 4)
+        assert len(letters) == 11 and len(set(letters)) == 5
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(1, 5), max_size=10),
