@@ -13,7 +13,7 @@ The table renders a rational as ``a/b (decimal)`` and a bool as
 as an empty cell.  Node counters live only in the stats object, which is
 excluded from the determinism contract.
 ``--threads`` and ``WORDPACK_THREADS`` are validated but have no effect:
-every search runs its shards one after another in the calling thread.
+every search runs in the calling thread.
 
 Exit codes: 0 success; 1 usage error; 2 budget exhausted (results still
 emitted); 3 internal invariant failure (always a bug).
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -175,6 +176,8 @@ def _budget(config: RunConfig) -> Optional[SearchBudget]:
         raise UsageError("--budget-nodes must be a positive integer")
     if config.budget_seconds is not None and config.budget_seconds <= 0:
         raise UsageError("--budget-seconds must be positive")
+    if config.budget_seconds is not None and not math.isfinite(config.budget_seconds):
+        raise UsageError("--budget-seconds must be finite")
     return SearchBudget(
         max_nodes=config.budget_nodes, max_seconds=config.budget_seconds
     )
@@ -327,9 +330,14 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
                 continue
             if route == "simple-product":
                 return simple_layered_density(shape)
-            return layered_density_cap(
-                shape, config.ell, starts=config.starts, seed=config.seed
-            )
+            try:
+                return layered_density_cap(
+                    shape, config.ell, starts=config.starts, seed=config.seed
+                )
+            except RuntimeError as exc:  # the starts did not agree
+                raise DensityRouteError(
+                    f"route 'cap' could not certify {p} with --ell {config.ell}: {exc}"
+                ) from exc
         raise DensityRouteError(f"{p} is not layered")
     if route in ("single-rise", "two-block"):
         for q in candidates:

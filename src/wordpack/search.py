@@ -4,34 +4,32 @@ packing densities.
 Order-isomorphic words contain every pattern equally often, so all searches
 run over canonical words (distinct letters exactly {1..d}, d <= min(k, n)),
 one representative per isomorphism class.  Enumeration is lexicographic and
-the reported witness is always the lexicographically least maximizer, which
-makes results independent of sharding.
+the reported witness is always the lexicographically least maximizer, so
+the two engines below give the same results.
 
 Two engines sit behind max_count: an exhaustive vectorized sweep used when no
 node budget is given and the space is small enough, and a branch-and-bound
 depth-first search that pushes and pops one occurrence automaton per
-pattern for budgeted runs.  One builder grows canonical prefixes into an
-int8 array a letter column at a time: its full-depth words serve
-enumerate_canonical and the sweep, its depth-2 prefixes are the root shards
-of the branch and bound.  The sweep, for each set of positions an
-occurrence may take, compares m - 1 pairs of columns to find the words
-order-isomorphic to the pattern.  The sweep tracks the best word per
-alphabet-support size d, so one sweep of the n-letter space answers every
-k at once.
+pattern for budgeted runs.  One builder grows the canonical words into an
+int8 array a letter column at a time for enumerate_canonical and the
+sweep.  The sweep, for each set of positions an occurrence may take,
+compares m - 1 pairs of columns to find the words order-isomorphic to the
+pattern.  The sweep tracks the best word per alphabet-support size d, so
+one sweep of the n-letter space answers every k at once.
 
-The branch and bound bounds a prefix of length t by its count plus, per
+The branch and bound is one lex-ordered DFS from the empty prefix, counted
+by one _Meter.  It bounds a prefix of length t by its count plus, per
 pattern, what the rem = n - t letters left can add.  Every later
 occurrence extends exactly one partial match the automaton stores (the
 empty one included), so the partial matches with j letters matched add at
 most their count times C(rem, m - j); the automaton keeps those counts per
 j.  Each pattern's share is capped by the placements that reach past the
-prefix.  max_count prunes against one incumbent, the best count so far,
-carried across the lex-ordered root shards: it recurses only while the
-bound beats the incumbent, so a pruned subtree could at most tie one found
-earlier and the witness stays lex-least.  max_count_by_alphabet prunes
-each shard against its own per-d bests instead.  Every budgeted search,
-here and in superpattern, splits its nodes over shards with _shares and
-counts them with a _Meter.
+prefix.  max_count prunes against one incumbent, the best count so far:
+it recurses only while the bound beats the incumbent, so a pruned subtree
+could at most tie a word found earlier and the witness stays lex-least.
+max_count_by_alphabet prunes against the per-d bests so far, the least
+over the d a completion can reach, which keeps each per-d witness
+lex-least the same way.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ class _BudgetExceeded(Exception):
 
 
 class _Meter:
-    """The node budget of one shard: tick() counts a node, or raises
+    """The node budget of one search: tick() counts a node, or raises
     _BudgetExceeded once allowance nodes are counted (None: no limit) or,
     checked every 1024 nodes, once time.monotonic() passes deadline."""
 
@@ -176,21 +174,12 @@ class _Meter:
         self.nodes += 1
 
 
-def _shares(total: Optional[int], parts: int) -> List[Optional[int]]:
-    """A node budget split over parts shards by a fixed rule, the first
-    total % parts shards taking one node more; None stays None."""
-    if total is None:
-        return [None] * parts
-    base, extra = divmod(total, parts)
-    return [base + (i < extra) for i in range(parts)]
-
-
-class _Shard:
-    """Branch-and-bound DFS over one canonical subtree.  With incumbent None
-    it tracks the best count per d (the alphabet support of the complete
-    word) from -1, each pruning against the least of the d it can reach;
-    with an int it tracks one best over every d in slot 0, starting from
-    that count."""
+class _BranchAndBound:
+    """Lex-ordered branch-and-bound DFS over the canonical words of length
+    n on at most cap letters, from the empty prefix.  With per_d it tracks
+    the best count per d (the alphabet support of the complete word), each
+    pruning against the least of the d it can reach; without, one best over
+    every d in slot 0.  Every best starts at -1."""
 
     def __init__(
         self,
@@ -198,7 +187,7 @@ class _Shard:
         n: int,
         cap: int,
         meter: _Meter,
-        incumbent: Optional[int],
+        per_d: bool,
     ) -> None:
         self.n = n
         self.cap = cap
@@ -211,10 +200,9 @@ class _Shard:
         # to put the last m - j letters of a match among rem later letters
         self.crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
         self.ways = [[comb(rem, m - j) for j in range(m)] for rem in range(n + 1)]
-        self.per_d = incumbent is None
-        self.best: List[int] = [-1] * (cap + 1) if self.per_d else [incumbent]
+        self.per_d = per_d
+        self.best: List[int] = [-1] * (cap + 1 if per_d else 1)
         self.bestw: List[Optional[Tuple[int, ...]]] = [None] * len(self.best)
-        self.exhausted = False
         self.prefix: List[int] = []
         self.used = [0] * (cap + 2)
         self.cur = 0
@@ -248,16 +236,13 @@ class _Shard:
             bound += w * (s if s < cap else cap)
         return bound
 
-    def run(self, prefix: Sequence[int]) -> None:
+    def run(self) -> bool:
+        """Search the whole tree; False when the budget stopped it."""
         try:
-            for x in prefix:
-                self._push(x)
-            self._dfs(len(prefix), max(prefix), len(set(prefix)))
+            self._dfs(0, 0, 0)
         except _BudgetExceeded:
-            self.exhausted = True
-        finally:
-            while self.prefix:
-                self._pop()
+            return False
+        return True
 
     def _dfs(self, t: int, maxv: int, dcount: int) -> None:
         n = self.n
@@ -265,6 +250,7 @@ class _Shard:
         for x, newmax, newd in _next_letters(n, self.cap, t, maxv, dcount, self.used):
             self._push(x)
             if t + 1 == n:
+                # only strict gains, in lex order, keep the witnesses lex-least
                 i = newd if self.per_d else 0
                 if self.cur > best[i]:
                     best[i] = self.cur
@@ -288,33 +274,20 @@ def _dfs_by_alphabet(
     per_d: bool,
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
-    # a fixed lex-ordered list of root prefixes, so the node budget's split
-    # and the results depend only on (n, cap); built outside the cache of
-    # word arrays, which a budgeted run leaves as it is
-    plan = list(zip(*_canonical_columns(n, cap, min(2, n))[0].tolist()))
     max_seconds = budget.max_seconds
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-
-    perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}  # slot 0: the incumbent
-    nodes = 0
-    exhausted = False
-    for prefix, allowance in zip(plan, _shares(budget.max_nodes, len(plan))):
-        incumbent = None if per_d else perd.get(0, (-1,))[0]
-        shard = _Shard(entries, n, cap, _Meter(allowance, deadline), incumbent)
-        shard.run(prefix)
-        nodes += shard.meter.nodes
-        exhausted = exhausted or shard.exhausted
-        # lex order of the plan, and only strict gains, keep witnesses lex-least
-        for i, (c, w) in enumerate(zip(shard.best, shard.bestw)):
-            if w is not None and c > perd.get(i, (-1,))[0]:
-                perd[i] = (c, w)
-    return perd, nodes, not exhausted, scale
+    search = _BranchAndBound(entries, n, cap, _Meter(budget.max_nodes, deadline), per_d)
+    exhaustive = search.run()
+    perd = {i: (c, w) for i, (c, w) in enumerate(zip(search.best, search.bestw))
+            if w is not None}
+    return perd, search.meter.nodes, exhaustive, scale
 
 
-def _canonical_columns(n: int, cap: int, depth: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct length-depth prefixes of the canonical words of length
-    n on at most cap letters, as an int8 (depth, rows) array with the rows
-    in lex order, plus the number of distinct letters of each row.  Each
+@lru_cache(maxsize=4)
+def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """All canonical words of length n on at most cap letters as an int8
+    array in lex order, plus the alphabet-support size of each row; each
+    column is contiguous.  The words grow a letter column at a time: each
     prefix grows by x = 1..cap in order, keeping the extensions that pass
     _fits, so rows stay in lex order."""
     xs = np.arange(1, cap + 1, dtype=np.int8)
@@ -322,7 +295,7 @@ def _canonical_columns(n: int, cap: int, depth: int) -> Tuple[np.ndarray, np.nda
     cols = np.zeros((0, 1 if n else 0), dtype=np.int8)  # the empty prefix
     maxv, dcnt = np.zeros((2, cols.shape[1]), dtype=np.int8)
     used = np.zeros(cols.shape[1], dtype=bits.dtype)  # bit x: letter x occurs
-    for t in range(depth):
+    for t in range(n):
         ok = np.empty((len(used), cap), dtype=bool)
         for j in range(cap):
             newd = dcnt + ((used & bits[j]) == 0)
@@ -338,15 +311,6 @@ def _canonical_columns(n: int, cap: int, depth: int) -> Tuple[np.ndarray, np.nda
         dcnt = np.repeat(dcnt, kids) + ((used & bit) == 0)
         used |= bit
         maxv = np.maximum(np.repeat(maxv, kids), x)
-    return cols, dcnt
-
-
-@lru_cache(maxsize=4)
-def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All canonical words of length n on at most cap letters as an int8
-    array in lex order, plus the alphabet-support size of each row; each
-    column is contiguous."""
-    cols, dcnt = _canonical_columns(n, cap, n)
     return cols.T, dcnt
 
 

@@ -39,7 +39,6 @@ from .search import (
     SearchBudget,
     _BudgetExceeded,
     _Meter,
-    _shares,
     canonical_count,
     enumerate_canonical,
 )
@@ -127,6 +126,15 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     found = {f for f in map(flatten, levels[m]) if max(f) <= spec.l}
     missing = tuple(p for p in spec.patterns if p.letters not in found)
     return not missing, missing
+
+
+def _shares(total: Optional[int], parts: int) -> List[Optional[int]]:
+    """A node budget split over parts shards by a fixed rule, the first
+    total % parts shards taking one node more; None stays None."""
+    if total is None:
+        return [None] * parts
+    base, extra = divmod(total, parts)
+    return [base + (i < extra) for i in range(parts)]
 
 
 class _ShardOutcome(NamedTuple):

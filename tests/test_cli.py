@@ -112,6 +112,18 @@ class TestDensity:
         assert code == EXIT_USAGE and out == ""
         assert err == "wordpack: error: route 'cap' applies to classical patterns, not 1-32\n"
 
+    @pytest.mark.parametrize("ell", ["5", "6"])
+    def test_cap_route_without_agreeing_starts_is_one_line(self, capsys, ell):
+        code, out, err = run_cli(
+            capsys, "density", "-p", "11112", "--route", "cap", "--ell", ell
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(
+            f"wordpack: error: route 'cap' could not certify 11112 with --ell {ell}: "
+            "multistart disagreement"
+        )
+        assert len(err.splitlines()) == 1
+
     def test_cap_route_requires_ell(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "1122", "--route", "cap")
         assert code == EXIT_USAGE and "--ell" in err
@@ -469,8 +481,8 @@ nonincreasing  true
 """),
     ("series -p 121 --n-range 6:7 --budget-nodes 20000", "csv", EXIT_BUDGET, """\
 n,k,mu,delta_num,delta_den,delta_decimal,witness,exhaustive,nodes
-6,6,8,2,5,0.4,112211,true,2771
-7,7,13,13,35,0.37142857142857144,1123211,false,14519
+6,6,8,2,5,0.4,112211,true,2742
+7,7,13,13,35,0.37142857142857144,1123211,false,20000
 """),
     ("construct --builder balanced -n 16 -k 4 --emit json", "table", EXIT_OK, """\
 builder      balanced
@@ -559,3 +571,12 @@ class TestUsageErrors:
             "--budget-nodes", "0",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_budget_seconds(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "search", "-p", "121", "-k", "3", "-n", "6",
+            "--budget-seconds", value, "--format", "json",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "wordpack: error: --budget-seconds must be finite\n"

@@ -25,7 +25,6 @@ from wordpack.search import (
     _canonical_array,
     _count_vector,
     _normalize_weights,
-    _shares,
     canonical_count,
     delta_series,
     enumerate_canonical,
@@ -184,16 +183,15 @@ class TestBranchAndBound:
         assert partial.count <= full.count
 
     def test_budgeted_run_is_pinned(self):
-        """10007 nodes over the 49 root prefixes of n=8, cap 7 leave a
-        remainder of 11, which the node count shows."""
+        """The one meter stops the search at exactly the budget."""
         r = max_count(parse_pattern("121"), 7, 8, budget=SearchBudget(10007))
-        assert (r.nodes, r.count, str(r.witness)) == (10007, 18, "11122111")
+        assert (r.nodes, r.count, str(r.witness)) == (10007, 19, "11123211")
         assert not r.exhaustive
 
-    def test_budget_split_rule(self):
-        assert _shares(10007, 49) == [205] * 11 + [204] * 38
-        assert _shares(1, 2) == [1, 0]
-        assert _shares(None, 3) == [None] * 3
+    def test_budget_stopped_run_spends_the_whole_budget(self):
+        """No allowance is lost to parts of the tree that finish early."""
+        r = max_count(parse_pattern("121"), 7, 7, budget=SearchBudget(20000))
+        assert r.nodes == 20000 and not r.exhaustive
 
     def test_budgeted_run_leaves_the_word_arrays_alone(self):
         before = _canonical_array.cache_info()
@@ -202,7 +200,7 @@ class TestBranchAndBound:
 
     def test_budget_too_small_to_reach_any_word(self):
         with pytest.raises(RuntimeError, match="no complete word"):
-            max_count(parse_pattern("132"), 7, 7, budget=SearchBudget(50))
+            max_count(parse_pattern("132"), 7, 7, budget=SearchBudget(6))
 
     def test_unbudgeted_oversize_refused(self):
         with pytest.raises(ValueError, match="budget"):
@@ -248,6 +246,17 @@ class TestBranchAndBoundAgainstSweep:
             assert dfs[d].exhaustive
             assert (dfs[d].count, dfs[d].witness) == (vec[d].count, vec[d].witness), d
 
+    def test_max_count_by_alphabet_carries_the_floors(self):
+        """One search carries each d's best along the lex order, so later
+        subtrees prune against the floors earlier ones found."""
+        p = parse_pattern("132")
+        vec = max_count_by_alphabet(p, 7)
+        dfs = max_count_by_alphabet(p, 7, budget=SearchBudget(10 ** 7))
+        assert sorted(dfs) == sorted(vec) == list(range(1, 8))
+        for d in vec:
+            assert dfs[d].exhaustive and dfs[d].nodes == 14903
+            assert (dfs[d].count, dfs[d].witness) == (vec[d].count, vec[d].witness), d
+
     @pytest.mark.parametrize(
         "ps, k, n, per_d",
         [
@@ -272,13 +281,13 @@ class TestBranchAndBoundAgainstSweep:
             ps = WeightedPatternSet.single(ps)
         bounds = {}
 
-        class Recording(search._Shard):
+        class Recording(search._BranchAndBound):
             def bound(self):
                 b = super().bound()
                 bounds[tuple(self.prefix)] = (b, self.cur)
                 return b
 
-        monkeypatch.setattr(search, "_Shard", Recording)
+        monkeypatch.setattr(search, "_BranchAndBound", Recording)
         if per_d:  # the by-alphabet search runs over every word on [n]
             assert k == n
             max_count_by_alphabet(ps, n, budget=SearchBudget(10 ** 9))

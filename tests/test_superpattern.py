@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
 from wordpack.superpattern import (
+    _shares,
     is_universal,
     pattern_universe,
     shortest_superpattern,
@@ -214,6 +215,12 @@ class TestBudgets:
         assert res.length == 13  # constructive fallback
         ok, _ = is_universal(res.witness, 4, 4)
         assert ok
+
+    def test_budget_split_rule(self):
+        assert _shares(10007, 49) == [205] * 11 + [204] * 38
+        assert _shares(2001, 2) == [1001, 1000]
+        assert _shares(1, 2) == [1, 0]
+        assert _shares(None, 3) == [None] * 3
 
 
 class TestDeterminism:
