@@ -8,8 +8,8 @@ problem attached to a specific structural route:
 * ones-block / rise / ones-block patterns: a multinomial closed form, or for
   a single rise the coupled root of (1-s*x)^(s+1) = 1 - (s+1)*x;
 * capped layer counts: maximization of the occurrence polynomial over the
-  probability simplex by a monotone growth transform with multistart
-  certification;
+  probability simplex by a monotone growth transform, run from every start
+  at once as the rows of one array, with multistart certification;
 * subword (all-adjacent) patterns: the minimal self-overlap shift M, whose
   reciprocal is the density.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -225,30 +225,78 @@ def pqr_density(p: int, q: int, r: int) -> DensityValue:
     )
 
 
-def _subset_index_arrays(ell: int, r: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(ell), r)), dtype=np.int64)
+#: the cap optimiser grows its starts in consecutive row blocks whose
+#: largest kernel array, rows * C(ell, r) * r^2 floats, stays within this
+CAP_BLOCK_FLOATS = 1 << 21
 
 
-def _cap_objective(
-    probs: np.ndarray, subsets: np.ndarray, exponents: np.ndarray, multinom: int
-) -> float:
-    terms = np.prod(probs[subsets] ** exponents, axis=1)
-    return multinom * float(terms.sum())
+class _CapPolynomial:
+    """The occurrence polynomial F of a layered shape on ell layers, and its
+    gradient, evaluated at every row of a (points, ell) array."""
 
+    def __init__(self, lengths: Sequence[int], ell: int) -> None:
+        r, self.m = len(lengths), sum(lengths)
+        self.subsets = np.array(list(itertools.combinations(range(ell), r)))
+        self.exponents = np.array(lengths, dtype=np.float64)
+        self.multinom = factorial(self.m) // prod(map(factorial, lengths))
+        self.lowered = self.exponents - np.eye(r)  # row i: slot i lowered by one
+        # row c*r + i carries multinom * m_i of slot i of subset c onto its layer
+        self.incidence = np.zeros((self.subsets.size, ell))
+        self.incidence[np.arange(self.subsets.size), self.subsets.ravel()] = np.tile(
+            self.multinom * self.exponents, len(self.subsets)
+        )
 
-def _cap_gradient(
-    probs: np.ndarray, subsets: np.ndarray, exponents: np.ndarray, multinom: int
-) -> np.ndarray:
-    terms = np.prod(probs[subsets] ** exponents, axis=1)
-    grad = np.zeros_like(probs)
-    for slot in range(subsets.shape[1]):
-        idx = subsets[:, slot]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = np.where(
-                probs[idx] > 0, exponents[slot] * terms / probs[idx], 0.0
-            )
-        np.add.at(grad, idx, contrib)
-    return multinom * grad
+    def value(self, probs: np.ndarray) -> np.ndarray:
+        terms = np.prod(probs[:, self.subsets] ** self.exponents, axis=2)
+        return self.multinom * terms.sum(axis=1)
+
+    def gradient(self, probs: np.ndarray) -> np.ndarray:
+        """Per slot, the subset products with that slot's exponent lowered
+        by one (no division, so zero coordinates are exact), times the
+        exponent, summed onto the layers by one matmul."""
+        vals = probs[:, self.subsets][:, :, None, :]  # (points, subsets, 1, r)
+        parts = np.prod(vals ** self.lowered, axis=3)
+        return parts.reshape(len(probs), -1) @ self.incidence
+
+    def step(self, probs: np.ndarray, fval: np.ndarray) -> np.ndarray:
+        """One growth step p_j <- p_j dF_j / (m F) at every row."""
+        nxt = probs * self.gradient(probs) / (self.m * fval[:, None])
+        nxt = np.clip(nxt, 1e-300, None)
+        return nxt / nxt.sum(axis=1, keepdims=True)
+
+    def grow(self, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the growth loop from every row of probs at once, updating
+        probs in place.  Each iteration makes two plain growth steps on
+        every live row, then a safeguarded extrapolation (the plain map
+        converges linearly; the extrapolated point is kept only when it
+        does not lose ground).  A row leaves the live set when it stalls;
+        none runs past 3000 iterations."""
+        fval = self.value(probs)
+        live = np.arange(len(probs))
+        for _ in range(3000):
+            if live.size == 0:
+                break
+            p, f = probs[live], fval[live]
+            x1 = self.step(p, f)
+            x2 = self.step(x1, self.value(x1))
+            f2 = self.value(x2)
+            move = x1 - p
+            curv = (x2 - x1) - move
+            denom = np.einsum("ij,ij->i", curv, curv)
+            ext = np.flatnonzero(denom > 0)
+            alpha = -np.sqrt(np.einsum("ij,ij->i", move[ext], move[ext]) / denom[ext])
+            alpha = alpha[:, None]
+            cand = p[ext] - 2 * alpha * move[ext] + alpha * alpha * curv[ext]
+            cand = np.clip(cand, 1e-300, None)
+            cand /= cand.sum(axis=1, keepdims=True)
+            fcand = self.value(cand)
+            keep = fcand > f2[ext]
+            f2[ext[keep]], x2[ext[keep]] = fcand[keep], cand[keep]
+            stalled = f2 - f <= 1e-17 * np.maximum(f, 1e-30)
+            moved = ~stalled | (f2 > f)
+            probs[live[moved]], fval[live[moved]] = x2[moved], f2[moved]
+            live = live[~stalled]
+        return fval, probs
 
 
 def layered_density_cap(
@@ -261,37 +309,29 @@ def layered_density_cap(
 
     Maximized with the growth transform p_j <- p_j dF_j / (m F), which is
     monotone for polynomials with nonnegative coefficients, from a fixed
-    family of starts; certified when at least two independent starts agree
-    to 1e-11."""
+    family of starts (three fixed, then ``starts`` Dirichlet draws).  The
+    starts are the rows of one array, grown together in row blocks of at
+    most CAP_BLOCK_FLOATS kernel entries; the best eight are then refined
+    by Newton steps on each nested support.  Certified when at least two
+    independent starts agree to 1e-11."""
     lengths = shape.lengths
     r, m = len(lengths), sum(lengths)
     if ell < r:
         raise ValueError(f"need at least r={r} layers, got ell={ell}")
-    subsets = _subset_index_arrays(ell, r)
-    exponents = np.array(lengths, dtype=np.float64)
-    multinom = factorial(m)
-    for part in lengths:
-        multinom //= factorial(part)
+    poly = _CapPolynomial(lengths, ell)
 
-    rng = np.random.default_rng(seed)
-    start_list: List[np.ndarray] = [np.full(ell, 1.0 / ell)]
     spike = np.full(ell, 1e-3)
     spike[:r] += 1.0
-    start_list.append(spike / spike.sum())
     weighted = np.full(ell, 1e-3)
-    weighted[:r] += np.array(lengths, dtype=np.float64)
-    start_list.append(weighted / weighted.sum())
-    for _ in range(starts):
-        start_list.append(rng.dirichlet(np.ones(ell)))
-
-    def objective(probs: np.ndarray) -> float:
-        return _cap_objective(probs, subsets, exponents, multinom)
-
-    def step(probs: np.ndarray, fval: float) -> np.ndarray:
-        grad = _cap_gradient(probs, subsets, exponents, multinom)
-        nxt = probs * grad / (m * fval)
-        nxt = np.clip(nxt, 1e-300, None)
-        return nxt / nxt.sum()
+    weighted[:r] += poly.exponents
+    points = np.vstack([
+        np.full(ell, 1.0 / ell),
+        spike / spike.sum(),
+        weighted / weighted.sum(),
+        np.random.default_rng(seed).dirichlet(np.ones(ell), size=starts),
+    ])
+    points = np.clip(points, 1e-12, None)
+    points /= points.sum(axis=1, keepdims=True)
 
     def support_newton(
         probs: np.ndarray, support: np.ndarray
@@ -299,37 +339,35 @@ def layered_density_cap(
         """Equal-partials refinement on a fixed support: at a maximum
         interior to the support's face all active partials coincide, so
         solve grad_a = grad_last with the last coordinate eliminated.
-        Returns the refined point or None when the solve fails."""
+        Each step evaluates the residual at x and at the 2 * |head|
+        central-difference points in one gradient call.  Returns the
+        refined point or None when the solve fails."""
         if support.size < 2:
             return None
         last = support[-1]
         head = support[:-1]
 
-        def residual(x: np.ndarray) -> np.ndarray:
-            full = np.zeros(ell)
-            full[head] = x
-            full[last] = 1.0 - x.sum()
-            g = _cap_gradient(full, subsets, exponents, multinom)
-            return g[head] - g[last]
+        def residual(xs: np.ndarray) -> np.ndarray:
+            full = np.zeros((len(xs), ell))
+            full[:, head] = xs
+            full[:, last] = 1.0 - xs.sum(axis=1)
+            g = poly.gradient(full)
+            return g[:, head] - g[:, last, None]
 
         sub = np.clip(probs[support], 1e-6, None)
         sub = sub / sub.sum()
         x = sub[:-1].copy()
-        tol = 1e-12 * max(multinom, 1)
+        tol = 1e-12 * max(poly.multinom, 1)
+        h = 1e-7
+        shifts = h * np.eye(head.size)
         converged = False
         for _ in range(60):
-            r0 = residual(x)
+            res = residual(np.vstack([x, x + shifts, x - shifts]))
+            r0 = res[0]
             if np.max(np.abs(r0)) < tol:
                 converged = True
                 break
-            jac = np.empty((head.size, head.size))
-            h = 1e-7
-            for col in range(head.size):
-                xp = x.copy()
-                xp[col] += h
-                xm = x.copy()
-                xm[col] -= h
-                jac[:, col] = (residual(xp) - residual(xm)) / (2 * h)
+            jac = (res[1 : head.size + 1] - res[head.size + 1 :]).T / (2 * h)
             try:
                 delta = np.linalg.solve(jac, r0)
             except np.linalg.LinAlgError:
@@ -345,7 +383,7 @@ def layered_density_cap(
                 t *= 0.5
             if not moved:
                 break
-        if not converged and np.max(np.abs(residual(x))) >= 100 * tol:
+        if not converged and np.max(np.abs(residual(x[None]))) >= 100 * tol:
             return None
         full = np.zeros(ell)
         full[head] = x
@@ -362,42 +400,16 @@ def layered_density_cap(
             refined = support_newton(probs, support)
             if refined is None:
                 continue
-            frefined = objective(refined)
+            frefined = float(poly.value(refined[None])[0])
             if frefined > best_f:
                 best_f, best_x = frefined, refined
         return best_f, best_x
 
+    rows = max(1, CAP_BLOCK_FLOATS // (poly.subsets.size * r))
     results: List[Tuple[float, np.ndarray]] = []
-    for p0 in start_list:
-        probs = np.clip(p0, 1e-12, None)
-        probs = probs / probs.sum()
-        fval = objective(probs)
-        for _ in range(3000):
-            # two plain growth steps, then a safeguarded extrapolation
-            # (the plain map converges linearly; the extrapolated point
-            # is kept only when it does not lose ground)
-            x1 = step(probs, fval)
-            f1 = objective(x1)
-            x2 = step(x1, f1)
-            f2 = objective(x2)
-            move = x1 - probs
-            curv = (x2 - x1) - move
-            denom = float(curv @ curv)
-            fnext, xnext = f2, x2
-            if denom > 0:
-                alpha = -np.sqrt(float(move @ move) / denom)
-                cand = probs - 2 * alpha * move + alpha * alpha * curv
-                cand = np.clip(cand, 1e-300, None)
-                cand = cand / cand.sum()
-                fcand = objective(cand)
-                if fcand > f2:
-                    fnext, xnext = fcand, cand
-            if fnext - fval <= 1e-17 * max(fval, 1e-30):
-                if fnext > fval:
-                    fval, probs = fnext, xnext
-                break
-            fval, probs = fnext, xnext
-        results.append((fval, probs))
+    for lo in range(0, len(points), rows):
+        fvals, grown = poly.grow(points[lo : lo + rows])
+        results.extend(zip(map(float, fvals), grown))
 
     results.sort(key=lambda t: -t[0])
     results = [refine(probs, fval) for fval, probs in results[:8]] + results[8:]
@@ -409,7 +421,7 @@ def layered_density_cap(
             f"multistart disagreement: best {best}, runner-up "
             f"{results[1][0] if len(results) > 1 else None}"
         )
-    grad = _cap_gradient(best_p, subsets, exponents, multinom)
+    grad = poly.gradient(best_p[None])[0]
     support = best_p > 1e-7
     kkt = float(np.max(np.abs(grad[support] / (m * best) - 1.0)))
     return DensityValue(

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
@@ -128,25 +128,10 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     return not missing, missing
 
 
-def _shares(total: Optional[int], parts: int) -> List[Optional[int]]:
-    """A node budget split over parts shards by a fixed rule, the first
-    total % parts shards taking one node more; None stays None."""
-    if total is None:
-        return [None] * parts
-    base, extra = divmod(total, parts)
-    return [base + (i < extra) for i in range(parts)]
-
-
-class _ShardOutcome(NamedTuple):
-    witness: Optional[Tuple[int, ...]]
-    spent: int
-    hit_budget: bool
-
-
 class _LengthSearch:
     """Exhaustive DFS for a universal word of one fixed length, split into
-    root shards that are searched one after another, each with its own
-    share of the node budget."""
+    root shards that are searched one after another under the length's
+    one node meter."""
 
     def __init__(self, spec: UniverseSpec, length: int):
         self.spec = spec
@@ -166,14 +151,12 @@ class _LengthSearch:
         return out[::-1] if reverse else out
 
     def search_shard(
-        self,
-        shard: Tuple[int, ...],
-        allowance: Optional[int],
-        deadline: Optional[float],
-    ) -> _ShardOutcome:
-        """Exhaust one root shard.  The witness, if any, is the
-        lexicographically least word in the shard (found first because the
-        DFS is lex-ordered and the prunes are admissible).
+        self, shard: Tuple[int, ...], meter: _Meter
+    ) -> Optional[Tuple[int, ...]]:
+        """Exhaust one root shard, ticking meter once per node (it raises
+        _BudgetExceeded when the budget runs out).  The witness, if any, is
+        the lexicographically least word in the shard (found first because
+        the DFS is lex-ordered and the prunes are admissible).
 
         Containment of every pattern at once is tracked by two sets shared
         by the whole universe: ``subs`` holds the distinct value tuples of
@@ -190,7 +173,6 @@ class _LengthSearch:
         have = [0] * (m + 1)
         flat_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         prefix: List[int] = []
-        meter = _Meter(allowance, deadline)
         witness: Optional[Tuple[int, ...]] = None
 
         def push(x: int) -> Tuple[list, list]:
@@ -250,14 +232,10 @@ class _LengthSearch:
                     pop(undo)
             return False
 
-        hit = False
-        try:
-            for x in shard:
-                push(x)
-            dfs(len(shard), max(shard, default=0))
-        except _BudgetExceeded:
-            hit = True
-        return _ShardOutcome(witness, meter.nodes, hit)
+        for x in shard:
+            push(x)
+        dfs(len(shard), max(shard, default=0))
+        return witness
 
 
 def shortest_superpattern(
@@ -279,14 +257,14 @@ def shortest_superpattern(
     ``lower_bound_certified`` False.  ``reverse_shards`` reorders the root
     shards for independent re-verification of exhausted lengths.
 
-    A node budget is apportioned over each length's shards by a fixed
-    rule and the shards run in order, a witness ending the length, so
-    every result field, including per-length node counts in the log, is
-    reproducible.  ``threads`` is accepted for compatibility and has no
-    effect.  Under a budget the witness is the least in the explored
-    region: if an earlier shard was cut short, minimality of the witness
-    is not certified (the length still is).  Wall-clock budgets make
-    results run-dependent.
+    Each length's shards run in order under one node meter holding what
+    is left of the budget, a witness ending the length, so every result
+    field, including per-length node counts in the log, is reproducible.
+    A budget that runs out ends the search at that length, so a witness
+    is found only after every earlier shard of its length was exhausted,
+    and it is lexicographically least.  ``threads`` is accepted for
+    compatibility and has no effect.  Wall-clock budgets make results
+    run-dependent.
     """
     spec = pattern_universe(l, m)
     upper = superpattern_word(spec.l, m)
@@ -309,16 +287,17 @@ def shortest_superpattern(
     length = lower
     while length <= upper.word.n:
         search = _LengthSearch(spec, length)
-        shards = search.shards(reverse_shards)
-        spent = 0
+        meter = _Meter(remaining, deadline)
         hit = False
-        for shard, allowance in zip(shards, _shares(remaining, len(shards))):
-            oc = search.search_shard(shard, allowance, deadline)
-            spent += oc.spent
-            if oc.witness is not None:
-                witness = Word(oc.witness)
-                break
-            hit = hit or oc.hit_budget
+        try:
+            for shard in search.shards(reverse_shards):
+                found = search.search_shard(shard, meter)
+                if found is not None:
+                    witness = Word(found)
+                    break
+        except _BudgetExceeded:
+            hit = True
+        spent = meter.nodes
         executed += spent
         if witness is not None:
             log.append(LengthVerdict(length, "witness", spent))

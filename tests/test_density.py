@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+
+from wordpack import density
 
 from wordpack.core import LayeredShape, parse_pattern
 from wordpack.density import (
@@ -181,6 +184,74 @@ class TestLayeredCap:
         a = layered_density_cap(LayeredShape((2, 1)), 3)
         b = layered_density_cap(LayeredShape((2, 1)), 3)
         assert a.value == b.value and a.aux == b.aux
+
+    @pytest.mark.parametrize(
+        "r, ell", [(2, ell) for ell in range(2, 7)] + [(3, ell) for ell in range(3, 7)]
+    )
+    def test_all_ones_shape_peaks_at_the_uniform_point(self, r, ell):
+        """F = r! e_r(p), so by Maclaurin's inequality the maximum is
+        r! C(ell, r) / ell^r, taken at the uniform point."""
+        dv = layered_density_cap(LayeredShape((1,) * r), ell)
+        want = math.factorial(r) * math.comb(ell, r) / ell ** r
+        assert abs(dv.value - want) <= 1e-12
+
+    def test_row_blocks_do_not_change_the_result(self, monkeypatch):
+        """Growing the starts a few rows at a time, a short last block
+        included, gives the one-block value and agreement."""
+        for lengths, ell in (((2, 1, 1), 4), ((2, 2), 6), ((1, 2), 3)):
+            whole = layered_density_cap(LayeredShape(lengths), ell)
+            r = len(lengths)
+            per_row = math.comb(ell, r) * r * r
+            for rows in (1, 5):
+                monkeypatch.setattr(density, "CAP_BLOCK_FLOATS", rows * per_row)
+                part = layered_density_cap(LayeredShape(lengths), ell)
+                assert abs(part.value - whole.value) <= 1e-12
+                assert part.aux["agreeing_starts"] == whole.aux["agreeing_starts"]
+            monkeypatch.undo()
+
+
+def _direct_gradient(lengths, probs):
+    """dF/dp_j summed subset by subset: m_i p_j^(m_i - 1) times the other
+    slots' powers, for every subset holding layer j in slot i."""
+    multinom = math.factorial(sum(lengths))
+    for part in lengths:
+        multinom //= math.factorial(part)
+    grad = [0.0] * len(probs)
+    for subset in combinations(range(len(probs)), len(lengths)):
+        for i, j in enumerate(subset):
+            others = math.prod(
+                probs[k] ** e for s, (k, e) in enumerate(zip(subset, lengths)) if s != i
+            )
+            grad[j] += multinom * lengths[i] * probs[j] ** (lengths[i] - 1) * others
+    return grad
+
+
+class TestCapGradient:
+    SHAPES = (((2, 1, 3), 6), ((1, 1), 4), ((3,), 3), ((2, 2), 5), ((1, 2, 1, 1), 6))
+
+    def check(self, lengths, points):
+        got = density._CapPolynomial(lengths, points.shape[1]).gradient(points)
+        for row, grad in zip(points, got):
+            want = _direct_gradient(lengths, list(row))
+            for g, w in zip(grad, want):
+                assert abs(g - w) <= 1e-13 * abs(w), (lengths, row)
+
+    @pytest.mark.parametrize("lengths, ell", SHAPES)
+    def test_random_points(self, lengths, ell):
+        rng = np.random.default_rng(2024)
+        self.check(lengths, rng.dirichlet(np.ones(ell), size=20))
+
+    @pytest.mark.parametrize("lengths, ell", SHAPES)
+    def test_points_with_zero_coordinates(self, lengths, ell):
+        """The points support_newton builds: zero off a support, the last
+        support coordinate taking the remainder."""
+        rng = np.random.default_rng(7)
+        points = np.zeros((2 * ell, ell))
+        for row in points:
+            support = np.sort(rng.choice(ell, size=rng.integers(1, ell + 1), replace=False))
+            row[support[:-1]] = rng.uniform(0, 1 / ell, size=support.size - 1)
+            row[support[-1]] = 1.0 - row.sum()
+        self.check(lengths, points)
 
 
 class TestOverlap:

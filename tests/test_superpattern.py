@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
 from wordpack.superpattern import (
-    _shares,
     is_universal,
     pattern_universe,
     shortest_superpattern,
@@ -216,11 +215,16 @@ class TestBudgets:
         ok, _ = is_universal(res.witness, 4, 4)
         assert ok
 
-    def test_budget_split_rule(self):
-        assert _shares(10007, 49) == [205] * 11 + [204] * 38
-        assert _shares(2001, 2) == [1001, 1000]
-        assert _shares(1, 2) == [1, 0]
-        assert _shares(None, 3) == [None] * 3
+    def test_unspent_shard_budget_carries_to_the_next_shard(self):
+        """Shard (1, 1) of length 9 exhausts in 940 nodes and (1, 2) needs
+        3,684 more: 5000 nodes certify length 9, and the 376 left go to
+        length 10."""
+        res = shortest_superpattern(4, 4, SearchBudget(max_nodes=5000))
+        assert [(v.length, v.verdict, v.nodes) for v in res.log] == [
+            (9, "exhausted", 4624),
+            (10, "inconclusive", 376),
+        ]
+        assert res.lower_bound == 10 and not res.lower_bound_certified
 
 
 class TestDeterminism:
@@ -271,10 +275,11 @@ class TestDeterminism:
         assert res.nodes == sum(nodes for _, _, nodes in log)
 
     def test_budgeted_log_is_pinned(self):
-        """2001 nodes split unevenly over the two root shards."""
+        """Shard (1, 1) exhausts in 940 of 2001 nodes; (1, 2) spends the
+        rest, so the length's one meter stops at exactly the budget."""
         res = shortest_superpattern(4, 4, SearchBudget(max_nodes=2001))
         assert [(v.length, v.verdict, v.nodes) for v in res.log] == [
-            (9, "inconclusive", 1940)
+            (9, "inconclusive", 2001)
         ]
 
 
