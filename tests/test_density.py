@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from wordpack import density
-
 from wordpack.core import LayeredShape, parse_pattern
 from wordpack.density import (
     DensityRouteError,
