@@ -9,11 +9,14 @@ C(n - m + b, b), which reduces to C(n, m) for classical patterns.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .core import Pattern, WeightedPatternSet, Word, flatten
 
@@ -25,15 +28,12 @@ class Automaton:
     being the partial monotone map from pattern values to word values
     (0 for a value not yet assigned).  Free states may extend at any later
     letter; hot states await an unhyphenated gap and must extend at the
-    very next letter or die.  ``count`` is the number of occurrences in the
-    letters fed so far; ``push`` feeds one letter and ``pop`` undoes the
-    last push, each returning the occurrences that letter completed.
-    Along push and pop, ``free_tot[j]`` and ``hot_tot[j]`` hold the summed
-    counts of the free and hot states with j letters matched.
+    very next letter or die.  ``free`` and ``hot`` map the states to their
+    counts, and ``_run`` feeds letters and returns the occurrences they
+    complete.  AutomatonTables compiles the same rule into dense tables.
     """
 
-    __slots__ = ("m", "steps", "hyphens", "free", "hot", "free_tot", "hot_tot",
-                 "count", "_undo")
+    __slots__ = ("m", "steps", "hyphens", "free", "hot")
 
     def __init__(self, p: Pattern) -> None:
         self.m = p.m
@@ -54,34 +54,9 @@ class Automaton:
         self.hyphens = p.hyphens
         self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * p.l): 1}
         self.hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self.free_tot = [1] + [0] * (p.m - 1)
-        self.hot_tot = [0] * p.m
-        self.count = 0
-        self._undo: List[Tuple[list, dict, List[int], int]] = []
 
-    def push(self, x: int) -> int:
-        return self._run((x,), self._undo)
-
-    def pop(self) -> int:
-        log, hot, hot_tot, delta = self._undo.pop()
-        free = self.free
-        free_tot = self.free_tot
-        for key, prev in reversed(log):
-            if prev is None:
-                free_tot[key[0]] -= free.pop(key)
-            else:
-                free_tot[key[0]] -= free[key] - prev
-                free[key] = prev
-        self.hot = hot
-        self.hot_tot = hot_tot
-        self.count -= delta
-        return delta
-
-    def _run(self, letters: Sequence[int], undo: Optional[list]) -> int:
-        """Feed letters in order and return the occurrences they complete.
-        When undo is a list, one record per letter is appended to it for
-        pop and the level totals are kept; a one-shot count passes None and
-        keeps neither."""
+    def _run(self, letters: Sequence[int]) -> int:
+        """Feed letters in order and return the occurrences they complete."""
         m = self.m
         steps = self.steps
         hyphens = self.hyphens
@@ -91,7 +66,6 @@ class Automaton:
         for x in letters:
             new_hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
             free_add = []
-            delta = 0
             # j < m in every stored state: a completed match is counted,
             # never stored
             for pool in (free, hot):
@@ -109,37 +83,130 @@ class Automaton:
                         phi2 = phi[: v - 1] + (x,) + phi[v:]
                     j2 = j + 1
                     if j2 == m:
-                        delta += cnt
+                        total += cnt
                     elif j2 in hyphens:
                         free_add.append(((j2, phi2), cnt))
                     else:
                         key = (j2, phi2)
                         new_hot[key] = new_hot.get(key, 0) + cnt
-            if undo is None:
-                for key, cnt in free_add:
-                    free[key] = free.get(key, 0) + cnt
-            else:
-                log = []
-                free_tot = self.free_tot
-                for key, cnt in free_add:
-                    prev = free.get(key)
-                    log.append((key, prev))
-                    free[key] = cnt if prev is None else prev + cnt
-                    free_tot[key[0]] += cnt
-                undo.append((log, hot, self.hot_tot, delta))
-                hot_tot = self.hot_tot = [0] * m
-                for (j, _), cnt in new_hot.items():
-                    hot_tot[j] += cnt
+            for key, cnt in free_add:
+                free[key] = free.get(key, 0) + cnt
             hot = new_hot
-            total += delta
         self.hot = hot
-        self.count += total
         return total
+
+
+class AutomatonTables:
+    """The Automaton of each of several patterns compiled, for words over
+    the letters 1..cap, into dense tables over one numbering of all their
+    states.
+
+    Slot 0 is a zero slot that never holds a count; slots 1.. hold the
+    states, ordered by their largest assigned value, so the states whose
+    values are all <= v fill the first ``alive[v]`` slots.  A row is a
+    vector of counts over the slots, and ``start`` is the row of the empty
+    word: 1 at each pattern's empty match.  Feeding the letter x to a row
+    r gives the row ``r[keep] + r[src[x - 1]]`` and completes
+    ``r @ complete[:, x - 1]`` matches, where
+
+    - ``keep[s]`` is s for a free state and 0 for a hot one;
+    - ``src[x - 1, s]`` is the state that x extends to s, or 0 if none
+      (a state has at most one: x is the value phi gives the letter
+      matched last);
+    - ``complete[s, x - 1]`` is 1 when x completes the match of s.
+
+    ``pattern[s]`` (-1 at slot 0) and ``level[s]`` (the j of the state)
+    describe each slot.  The states order by (largest assigned value,
+    pattern, state), so the tables for a smaller cap' are these tables cut
+    to their first ``alive[cap']`` slots and cap' letters, and ``grow``
+    extends the tables to more letters without renumbering a slot.
+
+    The tables come from Automaton._run itself, so the rule for which
+    letters extend a state is written once.  They are read off the
+    automaton of p followed by one more hyphenated letter, whose states of
+    length m are the matches of p completed.  Each state extends to at
+    most one state per letter and has one source, so feeding x to a pool
+    of the states with j letters matched, the i-th holding count i,
+    leaves at each state x reaches the number of its source.
+    """
+
+    def __init__(self, patterns: Sequence[Pattern], cap: int) -> None:
+        self._automata = [Automaton(Pattern(p.letters + (1,), p.hyphens | {p.m}))
+                          for p in patterns]
+        # per pattern and j, the states with j letters matched
+        self._levels = [[list(a.free)] + [[] for _ in range(p.m - 1)]
+                        for a, p in zip(self._automata, patterns)]
+        self._slot = {(i, levels[0][0]): i + 1 for i, levels in enumerate(self._levels)}
+        size = len(patterns) + 1
+        self.cap = 0
+        self.pattern = np.arange(-1, len(patterns), dtype=np.intp)
+        self.level = np.zeros(size, dtype=np.intp)
+        self.keep = np.arange(size, dtype=np.intp)  # the empty matches are free
+        self.src = np.zeros((0, size), dtype=np.intp)
+        self.complete = np.zeros((size, 0), dtype=np.int8)
+        self.start = np.ones(size, dtype=np.int64)
+        self.start[0] = 0
+        self.alive = np.array([size], dtype=np.intp)
+        self.grow(cap)
+
+    def grow(self, cap: int) -> None:
+        """Extend the tables to the letters 1..cap.  Every new state uses a
+        value above the old cap, so it comes from an old state by a new
+        letter or from a new state, and takes a slot after the old ones."""
+        old = self.cap
+        if cap <= old:
+            return
+        # per new state: (top, pattern, key, free, source (pattern, key), letter)
+        found = []
+        completed = []  # ((pattern, key), letter)
+        for i, auto in enumerate(self._automata):
+            levels = self._levels[i]
+            known = [len(states) for states in levels]
+            m = len(levels)
+            for j, states in enumerate(levels):
+                for x in range(1, cap + 1):
+                    pool = states if x > old else states[known[j]:]
+                    auto.free = {key: s for s, key in enumerate(pool)}
+                    auto.hot = {}
+                    auto._run((x,))
+                    # the pool comes first in auto.free, the states x reached after it
+                    reached = itertools.islice(auto.free.items(), len(pool), None)
+                    for group, free in ((reached, True), (auto.hot.items(), False)):
+                        for key, s in group:
+                            if key[0] == m:
+                                completed.append(((i, pool[s]), x))
+                            else:
+                                found.append((max(key[1]), i, key, free, (i, pool[s]), x))
+                                levels[j + 1].append(key)
+        found.sort(key=lambda f: f[:3])
+        size = len(self.keep)
+        slots = range(size, size + len(found))
+        for s, f in zip(slots, found):
+            self._slot[f[1], f[2]] = s
+        self.pattern = np.append(self.pattern, np.array([f[1] for f in found], dtype=np.intp))
+        self.level = np.append(self.level, np.array([f[2][0] for f in found], dtype=np.intp))
+        self.keep = np.append(self.keep, np.array(
+            [s if f[3] else 0 for s, f in zip(slots, found)], dtype=np.intp))
+        self.start = np.append(self.start, np.zeros(len(found), dtype=np.int64))
+        src = np.zeros((cap, len(self.keep)), dtype=np.intp)
+        src[:old, :size] = self.src
+        for s, f in zip(slots, found):
+            src[f[5] - 1, s] = self._slot[f[4]]
+        complete = np.zeros((len(self.keep), cap), dtype=np.int8)
+        complete[:size, :old] = self.complete
+        for state, x in completed:
+            complete[self._slot[state], x - 1] = 1
+        self.src = src
+        self.complete = complete
+        tops = [f[0] for f in found]
+        self.alive = np.append(self.alive, size + np.searchsorted(
+            tops, np.arange(old + 1, cap + 1), side="right"))
+        self.cap = cap
 
 
 def count_generalized(p: Pattern, w: Word) -> int:
     """Occurrences of p in w honoring p's hyphen structure."""
-    return Automaton(p)._run(w.letters, None)
+    return Automaton(p)._run(w.letters)
 
 
 def count_classical(p: Pattern, w: Word) -> int:

@@ -9,27 +9,31 @@ the two engines below give the same results.
 
 Two engines sit behind max_count: an exhaustive vectorized sweep used when no
 node budget is given and the space is small enough, and a branch-and-bound
-depth-first search that pushes and pops one occurrence automaton per
-pattern for budgeted runs.  One builder grows the canonical words into an
-int8 array a letter column at a time for enumerate_canonical and the
-sweep.  The sweep, for each set of positions an occurrence may take,
-compares m - 1 pairs of columns to find the words order-isomorphic to the
-pattern.  The sweep tracks the best word per alphabet-support size d, so
-one sweep of the n-letter space answers every k at once.
+depth-first search over the occurrence automata compiled into dense tables
+(count.AutomatonTables) for budgeted runs.  One builder grows the canonical
+words into an int8 array a letter column at a time for enumerate_canonical
+and the sweep.  The sweep, for each set of positions an occurrence may
+take, compares m - 1 pairs of columns to find the words order-isomorphic to
+the pattern.  The sweep tracks the best word per alphabet-support size d,
+so one sweep of the n-letter space answers every k at once.  Both engines
+count in int64 unless the weights could carry a count past it, and in
+Python ints then.
 
 The branch and bound is one lex-ordered DFS from the empty prefix, counted
-by one _Meter.  It bounds a prefix of length t by its count plus, per
-pattern, what the rem = n - t letters left can add.  Every later
-occurrence extends exactly one partial match the automaton stores (the
-empty one included), so the partial matches with j letters matched add at
-most their count times C(rem, m - j); the automaton keeps those counts per
-j.  Each pattern's share is capped by the placements that reach past the
-prefix.  max_count prunes against one incumbent, the best count so far:
-it recurses only while the bound beats the incumbent, so a pruned subtree
-could at most tie a word found earlier and the witness stays lex-least.
-max_count_by_alphabet prunes against the per-d bests so far, the least
-over the d a completion can reach, which keeps each per-d witness
-lex-least the same way.
+by one _Meter.  A node holds the row of partial-match counts of its prefix
+over the tables and computes the counts, rows and bounds of all its
+children in one batch of array operations; a loop then ticks the meter
+and visits the children in lex order.  It bounds a prefix of length t by
+its count plus, per pattern, what the rem = n - t letters left can add.
+Every later occurrence extends exactly one partial match the row holds
+(the empty one included), so the partial matches with j letters matched
+add at most their count times C(rem, m - j).  Each pattern's share is
+capped by the placements that reach past the prefix.  max_count prunes
+against one incumbent, the best count so far: it recurses only while the
+bound beats the incumbent, so a pruned subtree could at most tie a word
+found earlier and the witness stays lex-least.  max_count_by_alphabet
+prunes against the per-d bests so far, the least over the d a completion
+can reach, which keeps each per-d witness lex-least the same way.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import Pattern, WeightedPatternSet, Word, layered_decompose
 from .count import (
-    Automaton,
+    AutomatonTables,
     occurrence_denominator,
     tiebreak_permutation,
     weighted_count,
@@ -174,12 +177,31 @@ class _Meter:
         self.nodes += 1
 
 
+def _int_dtype(entries: List[Tuple[Pattern, int]], n: int):
+    """The dtype for the integers either engine forms over words of length
+    n: int64 while they stay below 2**63, else object (Python ints).  A
+    weighted count is at most max weight x #patterns x C(n - m + b, b),
+    and one pattern's weighted partial-match sum in branch and bound at
+    most max weight x C(n, m)."""
+    m, b = entries[0][0].m, entries[0][0].b
+    reach = max(len(entries) * occurrence_denominator(m, b, n), comb(n, m))
+    return np.int64 if max(w for _, w in entries) * reach < 1 << 63 else object
+
+
 class _BranchAndBound:
     """Lex-ordered branch-and-bound DFS over the canonical words of length
     n on at most cap letters, from the empty prefix.  With per_d it tracks
     the best count per d (the alphabet support of the complete word), each
     pruning against the least of the d it can reach; without, one best over
-    every d in slot 0.  Every best starts at -1."""
+    every d in slot 0.  Every best starts at -1.
+
+    A node carries the row of its prefix over the AutomatonTables of the
+    patterns and expands its children in one batch (_expand) before it
+    visits them in lex order.  The tables cover the letters up to
+    tables.cap and grow to x when the search first reaches a larger
+    letter x, so a budgeted run on a wide pattern compiles only the states
+    it can meet.  Slots keep their numbers as the tables grow, so the rows
+    already made stay valid."""
 
     def __init__(
         self,
@@ -192,78 +214,107 @@ class _BranchAndBound:
         self.n = n
         self.cap = cap
         self.meter = meter
-        self.automata = [Automaton(p) for p, _ in entries]
-        self.weights = [w for _, w in entries]
+        self.tables = AutomatonTables([p for p, _ in entries], 0)
+        dtype = _int_dtype(entries, n)
+        self.weights = np.array([w for _, w in entries], dtype=dtype)
         m, b = entries[0][0].m, entries[0][0].b
         total = occurrence_denominator(m, b, n)
-        # placements that reach past a prefix of length t, and the ways
-        # to put the last m - j letters of a match among rem later letters
-        self.crem = [total - occurrence_denominator(m, b, t) for t in range(n + 1)]
-        self.ways = [[comb(rem, m - j) for j in range(m)] for rem in range(n + 1)]
+        # placements that reach past a prefix of length t, per pattern
+        # weighted, and the ways to put the last m - j letters of a match
+        # among rem later letters
+        self.cap_at = [self.weights * (total - occurrence_denominator(m, b, t))
+                       for t in range(n + 1)]
+        self.ways = [np.array([comb(rem, m - j) for j in range(m)], dtype=dtype)
+                     for rem in range(n + 1)]
+        self._tabulate(1)
         self.per_d = per_d
         self.best: List[int] = [-1] * (cap + 1 if per_d else 1)
         self.bestw: List[Optional[Tuple[int, ...]]] = [None] * len(self.best)
         self.prefix: List[int] = []
         self.used = [0] * (cap + 2)
-        self.cur = 0
 
-    def _push(self, x: int) -> None:
-        self.meter.tick()
-        for a, w in zip(self.automata, self.weights):
-            self.cur += w * a.push(x)
-        self.prefix.append(x)
-        self.used[x] += 1
+    def _tabulate(self, letters: int) -> None:
+        """Grow the tables to the letters 1..letters and derive, per slot,
+        keep repeated for every letter (so both gathers in _expand take one
+        shape and add without broadcasting), the weighted occurrences each
+        letter completes (gain) and, per rem, the weighted ways to complete
+        its match among rem letters, in the column of its pattern
+        (reach)."""
+        tables = self.tables
+        tables.grow(letters)
+        self.keep = np.tile(tables.keep, (letters, 1))
+        self.src = tables.src
+        self.alive = tables.alive.tolist()
+        weight = self.weights[tables.pattern]
+        self.gain = tables.complete * weight[:, None]
+        own = tables.pattern[:, None] == np.arange(len(self.weights))
+        self.reach = [own * (ways[tables.level] * weight)[:, None] for ways in self.ways]
 
-    def _pop(self) -> None:
-        x = self.prefix.pop()
-        self.used[x] -= 1
-        for a, w in zip(self.automata, self.weights):
-            self.cur -= w * a.pop()
-
-    def bound(self) -> int:
-        """The most any completion of the prefix can count: every later
-        occurrence extends one partial match with j letters matched (the
-        empty one included) by m - j of the rem letters left, and at most
-        crem placements reach them, per pattern."""
-        t = len(self.prefix)
-        ways = self.ways[self.n - t]
-        cap = self.crem[t]
-        bound = self.cur
-        for a, w in zip(self.automata, self.weights):
-            s = sum(map(mul, a.free_tot, ways))
-            if a.hot:
-                s += sum(map(mul, a.hot_tot, ways))
-            bound += w * (s if s < cap else cap)
-        return bound
+    def _expand(
+        self, t: int, row: np.ndarray, cur: int, a: int, last: int
+    ) -> Tuple[List[int], Optional[List[int]], Optional[np.ndarray]]:
+        """Children x = 1..last of a prefix of length t with count cur and
+        the given row, whose states and its children's lie in the first a
+        slots: the count of each and, unless they are complete words, each
+        one's bound and row.  The bound is the most any completion can
+        count: every later occurrence extends one partial match with j
+        letters matched (the empty one included) by m - j of the rem
+        letters left, and at most the placements that reach past the
+        prefix do, per pattern; weights are nonnegative, so the cap can be
+        taken after weighting."""
+        if len(row) < a:  # made before the tables grew
+            row = np.concatenate((row, np.zeros(a - len(row), dtype=row.dtype)))
+        v = row[:a]
+        counts = [cur + g for g in v.dot(self.gain[:a, :last]).tolist()]
+        if t + 1 == self.n:
+            return counts, None, None
+        kids = v[self.keep[:last, :a]] + v[self.src[:last, :a]]
+        reach = kids.dot(self.reach[self.n - t - 1][:a])
+        np.minimum(reach, self.cap_at[t + 1], out=reach)
+        return counts, [c + sum(r) for c, r in zip(counts, reach.tolist())], kids
 
     def run(self) -> bool:
         """Search the whole tree; False when the budget stopped it."""
         try:
-            self._dfs(0, 0, 0)
+            self._dfs(0, 0, 0, self.tables.start.astype(self.weights.dtype), 0)
         except _BudgetExceeded:
             return False
         return True
 
-    def _dfs(self, t: int, maxv: int, dcount: int) -> None:
+    def _dfs(self, t: int, maxv: int, dcount: int, row: np.ndarray, cur: int) -> None:
         n = self.n
         best = self.best
-        for x, newmax, newd in _next_letters(n, self.cap, t, maxv, dcount, self.used):
-            self._push(x)
-            if t + 1 == n:
+        prefix = self.prefix
+        letters = list(_next_letters(n, self.cap, t, maxv, dcount, self.used))
+        last = letters[-1][0]
+        lim = 0  # the batch so far covers the children x <= lim
+        for x, newmax, newd in letters:
+            self.meter.tick()
+            if x > lim:
+                if x > self.tables.cap:
+                    self._tabulate(x)
+                lim = min(last, self.tables.cap)
+                # a child's states use no value above max(maxv, lim)
+                counts, bounds, kids = self._expand(
+                    t, row, cur, self.alive[max(maxv, lim)], lim)
+            if bounds is None:
                 # only strict gains, in lex order, keep the witnesses lex-least
                 i = newd if self.per_d else 0
-                if self.cur > best[i]:
-                    best[i] = self.cur
-                    self.bestw[i] = tuple(self.prefix)
+                if counts[x - 1] > best[i]:
+                    best[i] = counts[x - 1]
+                    self.bestw[i] = (*prefix, x)
+                continue
+            if self.per_d:  # the d a completion can have: newmax up to dhi
+                dhi = min(self.cap, newd + n - t - 1)
+                floor = min(best[newmax:dhi + 1])
             else:
-                if self.per_d:  # the d a completion can have: newmax up to dhi
-                    dhi = min(self.cap, newd + n - t - 1)
-                    floor = min(best[newmax:dhi + 1])
-                else:
-                    floor = best[0]
-                if self.bound() > floor:
-                    self._dfs(t + 1, newmax, newd)
-            self._pop()
+                floor = best[0]
+            if bounds[x - 1] > floor:
+                prefix.append(x)
+                self.used[x] += 1
+                self._dfs(t + 1, newmax, newd, kids[x - 1], counts[x - 1])
+                prefix.pop()
+                self.used[x] -= 1
 
 
 def _dfs_by_alphabet(
@@ -342,9 +393,10 @@ def _vector_by_alphabet(
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
     words, dcnt = _canonical_array(n, cap)
+    dtype = _int_dtype(entries, n)
     counts = None
     for p, w in entries:  # in place: at most two vectors of the words' length
-        vec = _count_vector(p, words)
+        vec = _count_vector(p, words).astype(dtype, copy=False)
         vec *= w
         counts = vec if counts is None else np.add(counts, vec, out=counts)
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}

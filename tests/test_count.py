@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from wordpack.core import Pattern, WeightedPatternSet, Word, flatten, parse_pattern, parse_word
 from wordpack.count import (
-    Automaton,
+    AutomatonTables,
     CountReport,
     count_classical,
     count_generalized,
@@ -125,8 +125,9 @@ class TestEngineAgainstOracle:
 
 
 class TestAutomaton:
-    """One automaton driven through random pushes, pops and re-pushes
-    always counts the occurrences in its current prefix."""
+    """Rows of the compiled automaton tables driven through random pushes,
+    pops and re-pushes always count the occurrences in the current prefix:
+    a push takes the child row, a pop returns to the parent row."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -144,21 +145,46 @@ class TestAutomaton:
             gaps = frozenset(
                 g for g in range(1, m) if data.draw(st.booleans(), label=f"gap{g}")
             )
-        auto = Automaton(Pattern(letters, gaps))
         k = data.draw(st.integers(1, 4))
+        tables = AutomatonTables([Pattern(letters, gaps)], k)
+        row, count = tables.start, 0
+        parents = []
         prefix = []
         # 0 pops, any other value pushes that letter
         for op in data.draw(st.lists(st.integers(0, k), max_size=16)):
-            before = auto.count
             if op == 0:
                 if not prefix:
                     continue
                 prefix.pop()
-                assert auto.pop() == before - auto.count
+                row, count = parents.pop()
             elif len(prefix) < 10:
+                parents.append((row, count))
                 prefix.append(op)
-                assert auto.push(op) == auto.count - before
-            assert auto.count == oracles.naive_count(letters, gaps, prefix)
+                count += int(row @ tables.complete[:, op - 1])
+                row = row[tables.keep] + row[tables.src[op - 1]]
+            assert count == oracles.naive_count(letters, gaps, prefix)
+            # the zero slot stays empty, and the live states use no value
+            # above the prefix's largest letter
+            assert row[0] == 0
+            assert not row[tables.alive[max(prefix, default=0)]:].any()
+
+    @pytest.mark.parametrize("texts", [("132",), ("1-2-1", "12-1"), ("21-3", "11-2"), ("1122",)])
+    def test_smaller_cap_is_a_cut(self, texts):
+        """Branch and bound grows its tables with the largest letter it
+        reaches and keeps the rows it made: the tables for 3 letters are
+        those for 5 cut to their first alive[3] slots and 3 letters, and
+        growing them to 5 letters gives the tables for 5."""
+        patterns = [parse_pattern(t) for t in texts]
+        small, big = AutomatonTables(patterns, 3), AutomatonTables(patterns, 5)
+        a = big.alive[3]
+        assert small.alive.tolist() == big.alive[:4].tolist() and len(small.keep) == a
+        for name in ("pattern", "level", "keep", "start"):
+            assert getattr(small, name).tolist() == getattr(big, name)[:a].tolist(), name
+        assert small.src.tolist() == big.src[:3, :a].tolist()
+        assert small.complete.tolist() == big.complete[:a, :3].tolist()
+        small.grow(5)
+        for name in ("alive", "pattern", "level", "keep", "start", "src", "complete"):
+            assert getattr(small, name).tolist() == getattr(big, name).tolist(), name
 
 
 class TestPatternTable:

@@ -188,6 +188,33 @@ class TestBranchAndBound:
         assert (r.nodes, r.count, str(r.witness)) == (10007, 19, "11123211")
         assert not r.exhaustive
 
+    @pytest.mark.parametrize(
+        "text, k, n, budget, count, witness, nodes, exhaustive",
+        [
+            ("1-2-1", 3, 40, 50000, 1016, "1111111111111111111111111111223322111111",
+             50000, False),
+            ("112", 8, 8, 10 ** 7, 31, "11111223", 12627, True),
+            ("132", 7, 7, 10 ** 7, 20, "1165432", 10786, True),
+            ("21-3", 9, 9, 20000, 14, "132154768", 20000, False),
+            ("13524", 12, 12, 20000, 47, "111113577246", 20000, False),
+        ],
+        ids=["1-2-1-n40", "112", "132", "21-3", "13524-wide"],
+    )
+    def test_runs_are_pinned(self, text, k, n, budget, count, witness, nodes, exhaustive):
+        """Completed and budget-stopped runs keep their counts, witnesses,
+        node counts and stop flags; 13524 on 12 letters has about 800
+        automaton states, most of which a node's letters leave out."""
+        r = max_count(parse_pattern(text), k, n, budget=SearchBudget(budget))
+        assert (r.count, str(r.witness), r.nodes, r.exhaustive) == (
+            count, witness, nodes, exhaustive)
+
+    def test_budgeted_by_alphabet_run_is_pinned(self):
+        by = max_count_by_alphabet(parse_pattern("12-1"), 10, budget=SearchBudget(3000))
+        got = {d: (by[d].count, str(by[d].witness)) for d in range(2, 7)}
+        assert got == {2: (7, "1111212111"), 3: (7, "1111213111"), 4: (6, "1111213141"),
+                       5: (3, "1111213145"), 6: (1, "1111213456")}
+        assert all(r.nodes == 3000 and not r.exhaustive for r in by.values())
+
     def test_budget_stopped_run_spends_the_whole_budget(self):
         """No allowance is lost to parts of the tree that finish early."""
         r = max_count(parse_pattern("121"), 7, 7, budget=SearchBudget(20000))
@@ -258,6 +285,21 @@ class TestBranchAndBoundAgainstSweep:
             assert (dfs[d].count, dfs[d].witness) == (vec[d].count, vec[d].witness), d
 
     @pytest.mark.parametrize(
+        "weights",
+        [(Fraction(1, 3 ** 38), Fraction(1, 2)), (Fraction(1, 3 ** 40), Fraction(1, 5 ** 28))],
+        ids=["3^-38+2^-1", "3^-40+5^-28"],
+    )
+    def test_weights_past_int64(self, weights):
+        """Scaled to integers, these weights pass 2**63: both engines count
+        exactly and agree."""
+        ps = _weighted(("12-1", weights[0]), ("21-2", weights[1]))
+        vec = max_count(ps, 3, 8)
+        dfs = max_count(ps, 3, 8, budget=SearchBudget(10 ** 9))
+        assert dfs.exhaustive
+        assert (dfs.count, dfs.witness) == (vec.count, vec.witness)
+        assert vec.count == weighted_count(ps, vec.witness)
+
+    @pytest.mark.parametrize(
         "ps, k, n, per_d",
         [
             (parse_pattern("121"), 3, 6, False),
@@ -274,18 +316,21 @@ class TestBranchAndBoundAgainstSweep:
              "12-1+21-2", "12-1+21-2-by-d"],
     )
     def test_bound_covers_every_completion(self, monkeypatch, ps, k, n, per_d):
-        """At every node a run bounds, the bound is at least the weighted
-        count of every word on [k] that extends the node's prefix, and at
-        most the count so far plus every placement that reaches past it."""
+        """For every child a run's batched expansion bounds, the bound is at
+        least the weighted count of every word on [k] that extends the
+        child's prefix, and at most its count plus every placement that
+        reaches past it."""
         if isinstance(ps, Pattern):
             ps = WeightedPatternSet.single(ps)
         bounds = {}
 
         class Recording(search._BranchAndBound):
-            def bound(self):
-                b = super().bound()
-                bounds[tuple(self.prefix)] = (b, self.cur)
-                return b
+            def _expand(self, t, row, cur, a, last):
+                counts, bnds, kids = super()._expand(t, row, cur, a, last)
+                if bnds is not None:
+                    for x, b, c in zip(range(1, last + 1), bnds, counts):
+                        bounds[(*self.prefix, x)] = (b, c)
+                return counts, bnds, kids
 
         monkeypatch.setattr(search, "_BranchAndBound", Recording)
         if per_d:  # the by-alphabet search runs over every word on [n]
