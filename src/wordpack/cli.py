@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -375,8 +376,6 @@ def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
         raise UsageError("density requires -p/--pattern")
     if config.starts < 0:
         raise UsageError("--starts must be a nonnegative integer")
-    if config.seed < 0:
-        raise UsageError("--seed must be a nonnegative integer")
     p = parse_pattern(config.pattern)
     try:
         dv = _route_density(config, p)
@@ -787,8 +786,7 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message: str) -> None:  # one line and exit 1, not argparse's 2
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
@@ -902,9 +900,15 @@ def run(config: RunConfig, stream=None) -> int:
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
+    if config.seed < 0:
+        raise UsageError("--seed must be a nonnegative integer")
     status, report = handler(config)
     _emit(config, report, stream)
     return status
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"wordpack: warning: {message}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -915,7 +919,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     config = _config_from_args(args)
     try:
-        return run(config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return run(config)
     except UsageError as exc:
         sys.stderr.write(f"wordpack: error: {exc}\n")
         return EXIT_USAGE

@@ -19,6 +19,12 @@ same shortest lengths and least witnesses for (2,2), (2,3), (3,3), (2,4),
 (3,3) are not first-occurrence-canonical.  Larger lengths, (4,4) among
 them, are certified under the restriction.
 
+Containment is tracked as bitsets.  Over the letters 1..b, level j of a
+word is one int whose bit (a_1 - 1) + (a_2 - 1)*b + ... + (a_j - 1)*b^(j-1)
+is set when (a_1, ..., a_j) is the values of a length-j subsequence.
+Appending x ORs each level j - 1, shifted left by (x - 1)*b^(j-1), into
+level j.  Flattened classes are memoised per (b, j), as indices in base b.
+
 Pruning is admissible on two counts: a missing pattern whose longest
 contained prefix leaves more letters to place than remain kills the
 branch, and so does having more missing patterns than the number of
@@ -30,8 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 from math import comb
+from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
@@ -113,18 +123,68 @@ def pattern_universe(l: int, m: int) -> UniverseSpec:
     return _universe_cached(min(l, m), m)
 
 
-def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
-    """Whether w classically contains every (l, m) pattern; missing list exact.
+#: (b, j) -> {tuple index -> class index}; safe to share, as a class never changes
+_CLASSES: Dict[Tuple[int, int], Dict[int, int]] = {}
+_CLASS_MEMO_LIMIT = 1 << 16
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-    One left-to-right pass keeps levels[j], the distinct value tuples of
-    w's subsequences of length j; each tuple of length m is flattened once."""
+
+def _class_memo(base: int, j: int) -> Dict[int, int]:
+    """The class memo of length-j tuples in base ``base``; all memos are
+    emptied first whenever they hold more than _CLASS_MEMO_LIMIT entries."""
+    if sum(map(len, _CLASSES.values())) > _CLASS_MEMO_LIMIT:
+        _CLASSES.clear()
+    return _CLASSES.setdefault((base, j), {})
+
+
+def _classes(level: int, memo: Dict[int, int], base: int, j: int) -> List[int]:
+    """Class indices of the length-j value tuples whose bits are set in
+    level, found through memo; the walk is linear in the int's size."""
+    if level.bit_length() <= 512:  # past that, numpy walks the bits faster
+        indices = list(compress(count(), bin(level)[:1:-1].encode().translate(_BIT_FLAGS)))
+    else:
+        data = np.frombuffer(level.to_bytes((level.bit_length() + 7) // 8, "little"), np.uint8)
+        nonzero = np.flatnonzero(data)  # unpack these only: memory follows the set bits
+        rows, bits = np.nonzero(np.unpackbits(data[nonzero, None], axis=1, bitorder="little"))
+        indices = (8 * nonzero[rows] + bits).tolist()
+    try:
+        return list(map(memo.__getitem__, indices))
+    except KeyError:
+        powers = [base**k for k in range(j)]
+        for i in indices:
+            if i not in memo:
+                values = [i // p % base for p in powers]  # the digits of tuple i
+                memo[i] = sum(map(mul, map(sorted(set(values)).index, values), powers))
+        return list(map(memo.__getitem__, indices))
+
+
+def _levels(letters: Tuple[int, ...], base: int, m: int) -> List[int]:
+    """Levels 0..m of a word on 1..base (see the module docstring)."""
+    steps = [base**j for j in range(m)]
+    levels = [1] + [0] * m
+    for x in letters:
+        for j in range(m, 0, -1):  # downwards, so that each letter is used once
+            levels[j] |= levels[j - 1] << (x - 1) * steps[j - 1]
+    return levels
+
+
+@lru_cache(maxsize=64)
+def _universe_indices(l: int, m: int, base: int) -> Tuple[int, ...]:
+    """Class index in base ``base`` of each (l, m) pattern; -1 if it has more letters."""
+    return tuple(sum((v - 1) * base**k for k, v in enumerate(p.letters))
+                 if max(p.letters) <= base else -1 for p in pattern_universe(l, m).patterns)
+
+
+def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
+    """Whether w classically contains every (l, m) pattern; missing list exact,
+    in universe order.  The levels of flatten(w) are built in base d, its
+    number of distinct values, so words on more than l values work too."""
     spec = pattern_universe(l, m)
-    levels = [{()}] + [set() for _ in range(m)]
-    for x in w.letters:
-        for j in range(m - 1, -1, -1):  # downwards: each letter used once
-            levels[j + 1].update([s + (x,) for s in levels[j]])
-    found = {f for f in map(flatten, levels[m]) if max(f) <= spec.l}
-    missing = tuple(p for p in spec.patterns if p.letters not in found)
+    letters = flatten(w.letters)
+    base = max(letters, default=1)
+    found = set(_classes(_levels(letters, base, m)[m], _class_memo(base, m), base, m))
+    indices = _universe_indices(spec.l, m, base)
+    missing = tuple(p for p, c in zip(spec.patterns, indices) if c not in found)
     return not missing, missing
 
 
@@ -150,92 +210,61 @@ class _LengthSearch:
         out = [(1, 1), (1, 2)]
         return out[::-1] if reverse else out
 
-    def search_shard(
-        self, shard: Tuple[int, ...], meter: _Meter
-    ) -> Optional[Tuple[int, ...]]:
+    def search_shard(self, shard: Tuple[int, ...], meter: _Meter) -> Optional[Tuple[int, ...]]:
         """Exhaust one root shard, ticking meter once per node (it raises
         _BudgetExceeded when the budget runs out).  The witness, if any, is
         the lexicographically least word in the shard (found first because
         the DFS is lex-ordered and the prunes are admissible).
 
-        Containment of every pattern at once is tracked by two sets shared
-        by the whole universe: ``subs`` holds the distinct value tuples of
-        the prefix's subsequences shorter than m (the empty one included),
-        ``flats`` the flattenings of its subsequences of length 1..m, and
-        ``have[j]`` counts the flattenings of length j.  A push logs only
-        the entries it adds, so a pop undoes it exactly.
+        A node's state is its prefix's levels in base l and, per level j, the
+        bitmask of the classes present; its popcount is how many there are.
+        A push returns the child's state, looking up the fresh bits only.
         """
-        spec = self.spec
-        m = spec.m
-        full = self.full
-        subs = {()}
-        flats = set()
-        have = [0] * (m + 1)
-        flat_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        prefix: List[int] = []
-        witness: Optional[Tuple[int, ...]] = None
+        l, m, length, full = self.spec.l, self.spec.m, self.length, self.full
+        memos = [_class_memo(l, j) for j in range(m + 1)]
+        shifts = [[(x - 1) * l**j for j in range(m)] for x in range(l + 1)]
 
-        def push(x: int) -> Tuple[list, list]:
+        def push(levels: List[int], masks: List[int], x: int) -> Tuple[List[int], List[int]]:
             meter.tick()
-            grown = []
-            fresh = []
-            for sub in subs:
-                t = sub + (x,)
-                if t in subs:
-                    continue
-                if len(t) < m:
-                    grown.append(t)
-                f = flat_of.get(t)
-                if f is None:
-                    f = flat_of[t] = flatten(t)
-                if f not in flats:
-                    flats.add(f)
-                    fresh.append(f)
-                    have[len(f)] += 1
-            subs.update(grown)
-            prefix.append(x)
-            return grown, fresh
+            levels, masks, shift = levels[:], masks[:], shifts[x]
+            for j in range(m, 0, -1):  # downwards, so that each letter is used once
+                fresh = levels[j - 1] << shift[j - 1] & ~levels[j]
+                if fresh:
+                    levels[j] |= fresh
+                    if masks[j].bit_count() < full[j]:  # a full level gains no class
+                        mask = masks[j]
+                        for c in _classes(fresh, memos[j], l, j):
+                            mask |= 1 << c
+                        masks[j] = mask
+            return levels, masks
 
-        def pop(undo: Tuple[list, list]) -> None:
-            grown, fresh = undo
-            prefix.pop()
-            subs.difference_update(grown)
-            flats.difference_update(fresh)
-            for f in fresh:
-                have[len(f)] -= 1
-
-        def dfs(t: int, maxval: int) -> bool:
-            nonlocal witness
-            missing = full[m] - have[m]
+        def dfs(prefix: Tuple[int, ...], maxval: int, levels: List[int], masks: List[int]):
+            t = len(prefix)
+            missing = full[m] - masks[m].bit_count()
             if missing == 0:
-                witness = tuple(prefix) + (1,) * (self.length - t)
-                return True
-            rem = self.length - t
+                return prefix + (1,) * (length - t)
+            rem = length - t
             if rem == 0:
-                return False
+                return None
             if missing > self.total_sets - self.comb_row[t]:
-                return False
+                return None
             # An occurrence keeps at least m - rem letters in the prefix, so
             # a missing pattern whose first m - rem letters the prefix lacks
             # cannot appear.  Every canonical word of that length starts
             # some pattern (pad it with 1s), so the branch dies as soon as
             # one of them is absent.
-            if rem < m and have[m - rem] < full[m - rem]:
-                return False
-            top = min(maxval + 1, spec.l)
-            for x in range(1, top + 1):
-                undo = push(x)
-                try:
-                    if dfs(t + 1, maxval if x <= maxval else x):
-                        return True
-                finally:
-                    pop(undo)
-            return False
+            if rem < m and masks[m - rem].bit_count() < full[m - rem]:
+                return None
+            for x in range(1, min(maxval + 1, l) + 1):
+                found = dfs(prefix + (x,), max(maxval, x), *push(levels, masks, x))
+                if found is not None:
+                    return found
+            return None
 
+        levels, masks = [1] + [0] * m, [0] * (m + 1)
         for x in shard:
-            push(x)
-        dfs(len(shard), max(shard, default=0))
-        return witness
+            levels, masks = push(levels, masks, x)
+        return dfs(shard, max(shard, default=0), levels, masks)
 
 
 def shortest_superpattern(

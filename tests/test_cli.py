@@ -75,6 +75,11 @@ class TestCount:
         expected = count_generalized(parse_pattern("12-1"), parse_word("1212"))
         assert env["result"]["count"] == expected
 
+    def test_recanonicalized_pattern_warns_in_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "count", "-p", "13", "-w", "12")
+        assert code == EXIT_OK and "nu           1" in out
+        assert err == "wordpack: warning: pattern letters (1, 3) re-canonicalized to (1, 2)\n"
+
 
 class TestDensity:
     def test_auto_route_example(self, capsys):
@@ -374,6 +379,11 @@ class TestVerify:
         assert anchors["123g"]["oracle"] == 1
         assert anchors["1432g"]["oracle"] == 3
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "overlap-formula", "--seed", "-3")
+        assert code == EXIT_USAGE and out == ""
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+
     def test_all_suites_pass(self, capsys):
         code, env = run_json(capsys, "verify")
         assert code == EXIT_OK
@@ -580,3 +590,19 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE and out == ""
         assert err == "wordpack: error: --budget-seconds must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["density", "-p", "12", "--route", "bogus"],
+             "wordpack density: error: argument --route: invalid choice: 'bogus'"),
+            (["count", "-p", "12"],
+             "wordpack count: error: the following arguments are required: -w/--word"),
+        ],
+    )
+    def test_argparse_refusal_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert err.startswith(message) and len(err.splitlines()) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
 from wordpack.superpattern import (
+    _class_memo,
+    _classes,
+    _levels,
     is_universal,
     pattern_universe,
     shortest_superpattern,
@@ -121,6 +125,40 @@ class TestIsUniversal:
         ok, missing = is_universal(Word(tuple(letters)), l, m)
         assert ok == brute_is_universal(letters, l, m) == (want == ())
         assert missing == want
+
+    @pytest.mark.parametrize("values", [8, 12])
+    def test_wide_words_agree_with_brute_force(self, values):
+        """Words on more values than l are checked in base d, their number
+        of distinct values; level 4 then has d^4 bits, thousands here."""
+        rng = random.Random(values)
+        for n in (values, 14):
+            letters = list(range(1, values + 1))
+            letters += [rng.randint(1, values) for _ in range(n - values)]
+            rng.shuffle(letters)
+            found = {flatten(c) for c in itertools.combinations(letters, 4)}
+            want = tuple(p for p in pattern_universe(4, 4).patterns if p.letters not in found)
+            ok, missing = is_universal(Word(tuple(letters)), 4, 4)
+            assert ok == brute_is_universal(letters, 4, 4) == (want == ())
+            assert missing == want
+
+
+class TestBitsetState:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 5), max_size=10), st.integers(1, 5))
+    def test_classes_per_level_are_the_flattened_subsequences(self, letters, m):
+        """Level j of a word on d values, in base d, holds exactly the value
+        tuples of its length-j subsequences, and their classes are the
+        flattenings of those subsequences."""
+        letters = flatten(letters)
+        base = max(letters, default=1)
+        levels = _levels(letters, base, m)
+        for j in range(m + 1):
+            tuples = set(itertools.combinations(letters, j))
+            got = {sum((v - 1) * base**k for k, v in enumerate(t)) for t in tuples}
+            assert levels[j] == sum(1 << i for i in got)
+            classes = _classes(levels[j], _class_memo(base, j), base, j) if j else []
+            decoded = {tuple(c // base**k % base + 1 for k in range(j)) for c in classes}
+            assert decoded == ({flatten(t) for t in tuples} if j else set())
 
 
 class TestShortestSuperpattern:
