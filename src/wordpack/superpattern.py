@@ -41,8 +41,6 @@ from math import comb
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
 from .search import (
@@ -126,7 +124,8 @@ def pattern_universe(l: int, m: int) -> UniverseSpec:
 #: (b, j) -> {tuple index -> class index}; safe to share, as a class never changes
 _CLASSES: Dict[Tuple[int, int], Dict[int, int]] = {}
 _CLASS_MEMO_LIMIT = 1 << 16
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+#: the set bits of each byte value
+_BYTE_BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
 
 
 def _class_memo(base: int, j: int) -> Dict[int, int]:
@@ -139,14 +138,10 @@ def _class_memo(base: int, j: int) -> Dict[int, int]:
 
 def _classes(level: int, memo: Dict[int, int], base: int, j: int) -> List[int]:
     """Class indices of the length-j value tuples whose bits are set in
-    level, found through memo; the walk is linear in the int's size."""
-    if level.bit_length() <= 512:  # past that, numpy walks the bits faster
-        indices = list(compress(count(), bin(level)[:1:-1].encode().translate(_BIT_FLAGS)))
-    else:
-        data = np.frombuffer(level.to_bytes((level.bit_length() + 7) // 8, "little"), np.uint8)
-        nonzero = np.flatnonzero(data)  # unpack these only: memory follows the set bits
-        rows, bits = np.nonzero(np.unpackbits(data[nonzero, None], axis=1, bitorder="little"))
-        indices = (8 * nonzero[rows] + bits).tolist()
+    level, found through memo.  One pass over level's bytes, which skips the
+    zero ones in C, lists the set bits in time linear in the int's size."""
+    data = level.to_bytes((level.bit_length() + 7) // 8, "little")
+    indices = [8 * i + k for i in compress(count(), data) for k in _BYTE_BITS[data[i]]]
     try:
         return list(map(memo.__getitem__, indices))
     except KeyError:
@@ -178,7 +173,9 @@ def _universe_indices(l: int, m: int, base: int) -> Tuple[int, ...]:
 def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     """Whether w classically contains every (l, m) pattern; missing list exact,
     in universe order.  The levels of flatten(w) are built in base d, its
-    number of distinct values, so words on more than l values work too."""
+    number of distinct values, so words on more than l values work too; but
+    level m then holds d^m bits, so time and memory grow with d^m (a
+    permutation of 20 at (6, 6) builds 8 MB levels)."""
     spec = pattern_universe(l, m)
     letters = flatten(w.letters)
     base = max(letters, default=1)

@@ -142,11 +142,19 @@ class TestDensity:
         assert env["result"]["value"]["decimal"] <= 0.375 + 1e-9
         assert "proportions" in env["result"]["aux"]
 
-    @pytest.mark.parametrize("flag", ["--starts", "--seed"])
-    def test_negative_starts_is_usage_error(self, capsys, flag):
-        code, out, err = run_cli(
-            capsys, "density", "-p", "12", "--route", "cap", "--ell", "3", flag, "-1",
-        )
+    DENSITY_CAP = ("density", "-p", "12", "--route", "cap", "--ell", "3")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(DENSITY_CAP, "--starts", id="--starts"),
+            pytest.param(DENSITY_CAP, "--seed", id="--seed"),
+            # every subcommand that takes --seed refuses a negative one alike
+            pytest.param(("verify", "--suite", "overlap-formula"), "--seed", id="verify--seed"),
+        ],
+    )
+    def test_negative_starts_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, flag, "-1")
         assert code == EXIT_USAGE and out == ""
         assert flag in err and len(err.strip().splitlines()) == 1
 
@@ -378,11 +386,6 @@ class TestVerify:
         assert anchors["112g"]["oracle"] == 2
         assert anchors["123g"]["oracle"] == 1
         assert anchors["1432g"]["oracle"] == 3
-
-    def test_negative_seed_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "overlap-formula", "--seed", "-3")
-        assert code == EXIT_USAGE and out == ""
-        assert "--seed" in err and len(err.strip().splitlines()) == 1
 
     def test_all_suites_pass(self, capsys):
         code, env = run_json(capsys, "verify")
