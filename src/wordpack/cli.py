@@ -12,8 +12,8 @@ The table renders a rational as ``a/b (decimal)`` and a bool as
 ``x_den`` and ``x_decimal``, writes a bool as ``true``/``false`` and None
 as an empty cell.  Node counters live only in the stats object, which is
 excluded from the determinism contract.
-``--threads`` and ``WORDPACK_THREADS`` are validated but have no effect:
-every search runs in the calling thread.
+``--threads`` must be a positive integer but has no effect: every search
+runs in the calling thread.
 
 Exit codes: 0 success; 1 usage error; 2 budget exhausted (results still
 emitted); 3 internal invariant failure (always a bug).
@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -80,7 +79,6 @@ from .superpattern import is_universal, pattern_universe, shortest_superpattern
 __all__ = ["RunConfig", "run", "main"]
 
 SCHEMA = "wordpack/1"
-THREADS_ENV = "WORDPACK_THREADS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,21 +151,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _resolve_threads(config: RunConfig) -> int:
-    if config.threads is not None:
-        if config.threads < 1:
-            raise UsageError("--threads must be a positive integer")
-        return config.threads
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV}={raw!r} is not an integer")
-    if value < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer")
-    return value
+def _check_threads(config: RunConfig) -> None:
+    if config.threads is not None and config.threads < 1:
+        raise UsageError("--threads must be a positive integer")
 
 
 def _budget(config: RunConfig) -> Optional[SearchBudget]:
@@ -439,9 +425,9 @@ def _cmd_search(config: RunConfig) -> Tuple[int, _Report]:
         raise UsageError("search requires -p/--pattern, -k and -n")
     p = parse_pattern(config.pattern)
     budget = _budget(config)
-    threads = _resolve_threads(config)
+    _check_threads(config)
     try:
-        res = max_count(p, config.k, config.n, budget, threads)
+        res = max_count(p, config.k, config.n, budget)
     except RuntimeError as exc:
         return _no_word({"pattern": p, "k": config.k, "n": config.n}, exc)
     result = {"pattern": p, **_search_obj(res)}
@@ -460,10 +446,10 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
             f"--n-range starts below the pattern length ({lo} < {p.m})"
         )
     budget = _budget(config)
-    threads = _resolve_threads(config)
+    _check_threads(config)
     k_policy = "fixed" if config.k is not None else "diagonal"
     try:
-        series = delta_series(p, range(lo, hi + 1), config.k, budget, threads)
+        series = delta_series(p, range(lo, hi + 1), config.k, budget)
     except RuntimeError as exc:
         return _no_word({"pattern": p, "k_policy": k_policy}, exc)
     rows = series.rows
@@ -581,8 +567,8 @@ def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
     if config.l is None or config.m is None:
         raise UsageError("super requires -l and -m")
     budget = _budget(config)
-    threads = _resolve_threads(config)
-    res = shortest_superpattern(config.l, config.m, budget, threads=threads)
+    _check_threads(config)
+    res = shortest_superpattern(config.l, config.m, budget)
     universe = pattern_universe(config.l, config.m)
     result = {
         "l": res.l,
@@ -804,8 +790,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-seconds", type=float, default=None,
                      help="stop after this much wall-clock time")
     sub.add_argument("--threads", type=int, default=None,
-                     help=f"accepted and validated (default ${THREADS_ENV} or 1) "
-                          "but has no effect")
+                     help="accepted and validated but has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

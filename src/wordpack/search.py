@@ -156,13 +156,18 @@ class _BudgetExceeded(Exception):
 
 
 class _Meter:
-    """The node budget of one search: tick() counts a node, or raises
-    _BudgetExceeded once allowance nodes are counted (None: no limit) or,
-    checked every 1024 nodes, once time.monotonic() passes deadline."""
+    """The budget of one search call, and the only place a SearchBudget
+    becomes a running allowance: tick() counts a node, or raises
+    _BudgetExceeded once budget.max_nodes nodes are counted or, checked
+    every 1024 nodes, once budget.max_seconds have passed since the meter
+    was made.  A None budget, or a None field, sets no limit.  A search
+    with several stages shares one meter and reads a stage's nodes as the
+    change in ``nodes`` across it."""
 
-    def __init__(self, allowance: Optional[int], deadline: Optional[float]) -> None:
-        self.allowance = allowance
-        self.deadline = deadline
+    def __init__(self, budget: Optional[SearchBudget]) -> None:
+        self.allowance = budget.max_nodes if budget else None
+        seconds = budget.max_seconds if budget else None
+        self.deadline = time.monotonic() + seconds if seconds is not None else None
         self.nodes = 0
 
     def tick(self) -> None:
@@ -325,9 +330,7 @@ def _dfs_by_alphabet(
     per_d: bool,
 ) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], int, bool, int]:
     entries, scale = _normalize_weights(ps)
-    max_seconds = budget.max_seconds
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
-    search = _BranchAndBound(entries, n, cap, _Meter(budget.max_nodes, deadline), per_d)
+    search = _BranchAndBound(entries, n, cap, _Meter(budget), per_d)
     exhaustive = search.run()
     perd = {i: (c, w) for i, (c, w) in enumerate(zip(search.best, search.bestw))
             if w is not None}

@@ -9,7 +9,8 @@ need 12).  It finds the least length admitting a universal word on [l] by
 iterative deepening: each candidate length is searched exhaustively by a
 DFS over words in first-occurrence-canonical form (each new letter value
 appears in increasing order), in lexicographic order, so the first witness
-found is the lexicographically least such word.
+found is the lexicographically least such word.  One node meter counts the
+whole call: a budget that runs out ends the search at the length it is in.
 
 The first-occurrence restriction is not proven lossless: a relabeling of
 values that is not monotone changes which patterns a word contains.  What
@@ -33,7 +34,6 @@ position subsets that touch the unwritten suffix.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
@@ -185,83 +185,75 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     return not missing, missing
 
 
-class _LengthSearch:
-    """Exhaustive DFS for a universal word of one fixed length, split into
-    root shards that are searched one after another under the length's
-    one node meter."""
+def _search_length(
+    spec: UniverseSpec, length: int, meter: _Meter, reverse: bool
+) -> Optional[Tuple[int, ...]]:
+    """Exhaustive DFS for a universal word of one length, ticking meter once
+    per node (it raises _BudgetExceeded when the budget runs out).  The roots
+    (1, 1) and (1, 2) cover the first-occurrence-canonical space and run in
+    lexicographic order (reversed only for independent re-verification), so
+    the witness, if any, is the lexicographically least word of the length:
+    the DFS is lex-ordered and the prunes are admissible.
 
-    def __init__(self, spec: UniverseSpec, length: int):
-        self.spec = spec
-        self.length = length
-        self.comb_row = [comb(t, spec.m) for t in range(length + 1)]
-        self.total_sets = comb(length, spec.m)
-        # canonical words of each length j on at most l letters: every one
-        # is the flattening of some length-j subsequence of a universal word
-        self.full = [canonical_count(j, spec.l) for j in range(spec.m + 1)]
+    A node's state is its prefix's levels in base l and, per level j, the
+    bitmask of the classes present; its popcount is how many there are.
+    A push returns the child's state, looking up the fresh bits only.
+    """
+    l, m = spec.l, spec.m
+    comb_row = [comb(t, m) for t in range(length + 1)]
+    total_sets = comb(length, m)
+    # canonical words of each length j on at most l letters: every one
+    # is the flattening of some length-j subsequence of a universal word
+    full = [canonical_count(j, l) for j in range(m + 1)]
+    memos = [_class_memo(l, j) for j in range(m + 1)]
+    shifts = [[(x - 1) * l**j for j in range(m)] for x in range(l + 1)]
 
-    def shards(self, reverse: bool) -> List[Tuple[int, ...]]:
-        """Root prefixes covering the first-occurrence-canonical space, in
-        lexicographic order (reversed only for independent re-verification)."""
-        if self.length < 2 or self.spec.l == 1:
-            return [()]
-        out = [(1, 1), (1, 2)]
-        return out[::-1] if reverse else out
+    def push(levels: List[int], masks: List[int], x: int) -> Tuple[List[int], List[int]]:
+        meter.tick()
+        levels, masks, shift = levels[:], masks[:], shifts[x]
+        for j in range(m, 0, -1):  # downwards, so that each letter is used once
+            fresh = levels[j - 1] << shift[j - 1] & ~levels[j]
+            if fresh:
+                levels[j] |= fresh
+                if masks[j].bit_count() < full[j]:  # a full level gains no class
+                    mask = masks[j]
+                    for c in _classes(fresh, memos[j], l, j):
+                        mask |= 1 << c
+                    masks[j] = mask
+        return levels, masks
 
-    def search_shard(self, shard: Tuple[int, ...], meter: _Meter) -> Optional[Tuple[int, ...]]:
-        """Exhaust one root shard, ticking meter once per node (it raises
-        _BudgetExceeded when the budget runs out).  The witness, if any, is
-        the lexicographically least word in the shard (found first because
-        the DFS is lex-ordered and the prunes are admissible).
-
-        A node's state is its prefix's levels in base l and, per level j, the
-        bitmask of the classes present; its popcount is how many there are.
-        A push returns the child's state, looking up the fresh bits only.
-        """
-        l, m, length, full = self.spec.l, self.spec.m, self.length, self.full
-        memos = [_class_memo(l, j) for j in range(m + 1)]
-        shifts = [[(x - 1) * l**j for j in range(m)] for x in range(l + 1)]
-
-        def push(levels: List[int], masks: List[int], x: int) -> Tuple[List[int], List[int]]:
-            meter.tick()
-            levels, masks, shift = levels[:], masks[:], shifts[x]
-            for j in range(m, 0, -1):  # downwards, so that each letter is used once
-                fresh = levels[j - 1] << shift[j - 1] & ~levels[j]
-                if fresh:
-                    levels[j] |= fresh
-                    if masks[j].bit_count() < full[j]:  # a full level gains no class
-                        mask = masks[j]
-                        for c in _classes(fresh, memos[j], l, j):
-                            mask |= 1 << c
-                        masks[j] = mask
-            return levels, masks
-
-        def dfs(prefix: Tuple[int, ...], maxval: int, levels: List[int], masks: List[int]):
-            t = len(prefix)
-            missing = full[m] - masks[m].bit_count()
-            if missing == 0:
-                return prefix + (1,) * (length - t)
-            rem = length - t
-            if rem == 0:
-                return None
-            if missing > self.total_sets - self.comb_row[t]:
-                return None
-            # An occurrence keeps at least m - rem letters in the prefix, so
-            # a missing pattern whose first m - rem letters the prefix lacks
-            # cannot appear.  Every canonical word of that length starts
-            # some pattern (pad it with 1s), so the branch dies as soon as
-            # one of them is absent.
-            if rem < m and masks[m - rem].bit_count() < full[m - rem]:
-                return None
-            for x in range(1, min(maxval + 1, l) + 1):
-                found = dfs(prefix + (x,), max(maxval, x), *push(levels, masks, x))
-                if found is not None:
-                    return found
+    def dfs(prefix: Tuple[int, ...], maxval: int, levels: List[int], masks: List[int]):
+        t = len(prefix)
+        missing = full[m] - masks[m].bit_count()
+        if missing == 0:
+            return prefix + (1,) * (length - t)
+        rem = length - t
+        if rem == 0:
             return None
+        if missing > total_sets - comb_row[t]:
+            return None
+        # An occurrence keeps at least m - rem letters in the prefix, so
+        # a missing pattern whose first m - rem letters the prefix lacks
+        # cannot appear.  Every canonical word of that length starts
+        # some pattern (pad it with 1s), so the branch dies as soon as
+        # one of them is absent.
+        if rem < m and masks[m - rem].bit_count() < full[m - rem]:
+            return None
+        for x in range(1, min(maxval + 1, l) + 1):
+            found = dfs(prefix + (x,), max(maxval, x), *push(levels, masks, x))
+            if found is not None:
+                return found
+        return None
 
+    roots = [()] if length < 2 or l == 1 else [(1, 1), (1, 2)]
+    for root in roots[::-1] if reverse else roots:
         levels, masks = [1] + [0] * m, [0] * (m + 1)
-        for x in shard:
+        for x in root:
             levels, masks = push(levels, masks, x)
-        return dfs(shard, max(shard, default=0), levels, masks)
+        found = dfs(root, max(root, default=0), levels, masks)
+        if found is not None:
+            return found
+    return None
 
 
 def shortest_superpattern(
@@ -280,78 +272,55 @@ def shortest_superpattern(
     the witness is then lexicographically least and the length exact.  If
     the budget runs out first, the result carries the constructive upper
     bound l(m-1)+1, the largest certified lower bound, and
-    ``lower_bound_certified`` False.  ``reverse_shards`` reorders the root
-    shards for independent re-verification of exhausted lengths.
+    ``lower_bound_certified`` False, even when the two bounds meet: with
+    2336 nodes, (3, 4) exhausts lengths 8 and 9 and reports length 10 and
+    lower bound 10 uncertified, as 1231231231 is not known to be the
+    lex-least witness.  ``reverse_shards`` runs each length's two root
+    prefixes in reverse, for independent re-verification of exhausted
+    lengths.
 
-    Each length's shards run in order under one node meter holding what
-    is left of the budget, a witness ending the length, so every result
-    field, including per-length node counts in the log, is reproducible.
-    A budget that runs out ends the search at that length, so a witness
-    is found only after every earlier shard of its length was exhausted,
-    and it is lexicographically least.  ``threads`` is accepted for
-    compatibility and has no effect.  Wall-clock budgets make results
-    run-dependent.
+    One node meter counts every node of the call; each length's log entry
+    is the change in its count across that length, and a budget that runs
+    out ends the search at the length it is in.  Node budgets therefore
+    make every result field, per-length node counts included,
+    reproducible; wall-clock budgets make results run-dependent.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     spec = pattern_universe(l, m)
     upper = superpattern_word(spec.l, m)
     assert is_universal(upper.word, spec.l, m)[0], "constructive word must be universal"
     if isinstance(budget, int):
         budget = SearchBudget(max_nodes=budget)
-    remaining = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+    meter = _Meter(budget)
 
     lower = spec.m
     while comb(lower, spec.m) < spec.size:
         lower += 1
 
     log: List[LengthVerdict] = []
-    executed = 0
-    witness: Optional[Word] = None
-    found_length: Optional[int] = None
-    certified = True
-    length = lower
-    while length <= upper.word.n:
-        search = _LengthSearch(spec, length)
-        meter = _Meter(remaining, deadline)
-        hit = False
+    found: Optional[Tuple[int, ...]] = None
+    for length in range(lower, upper.word.n + 1):
+        before = meter.nodes
         try:
-            for shard in search.shards(reverse_shards):
-                found = search.search_shard(shard, meter)
-                if found is not None:
-                    witness = Word(found)
-                    break
+            found = _search_length(spec, length, meter, reverse_shards)
+            verdict = "exhausted" if found is None else "witness"
         except _BudgetExceeded:
-            hit = True
-        spent = meter.nodes
-        executed += spent
-        if witness is not None:
-            log.append(LengthVerdict(length, "witness", spent))
-            found_length = length
+            verdict = "inconclusive"
+        log.append(LengthVerdict(length, verdict, meter.nodes - before))
+        if verdict != "exhausted":
             break
-        if hit:
-            log.append(LengthVerdict(length, "inconclusive", spent))
-            certified = False
-            break
-        log.append(LengthVerdict(length, "exhausted", spent))
         lower = length + 1
-        if remaining is not None:
-            remaining -= spent
-        length += 1
 
-    if witness is None:
-        witness = upper.word
-        found_length = upper.word.n
-        certified = certified and lower >= found_length
+    witness = upper.word if found is None else Word(found)
     flag, missing = is_universal(witness, spec.l, m)
     assert flag, f"witness failed re-verification; missing {missing}"
     return SuperResult(
         l=spec.l,
         m=spec.m,
-        length=found_length,
+        length=witness.n,
         witness=witness,
-        lower_bound=min(lower, found_length),
-        lower_bound_certified=certified,
-        nodes=executed,
+        lower_bound=min(lower, witness.n),
+        lower_bound_certified=found is not None,
+        nodes=meter.nodes,
         log=tuple(log),
     )

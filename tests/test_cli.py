@@ -417,15 +417,11 @@ class TestDeterminism:
             _, env4 = run_json(capsys, *config, "--threads", "4")
             assert env1["result"] == env4["result"], config
 
-    def test_env_var_sets_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("WORDPACK_THREADS", "3")
-        code, env = run_json(capsys, "super", "-l", "3", "-m", "3")
-        assert code == EXIT_OK and env["result"]["length"] == 7
-
-    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("WORDPACK_THREADS", "many")
-        code, _, err = run_cli(capsys, "super", "-l", "2", "-m", "2")
-        assert code == EXIT_USAGE and "WORDPACK_THREADS" in err
+    def test_zero_threads_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "search", "-p", "12", "-k", "3", "-n", "3",
+                                 "--threads", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "wordpack: error: --threads must be a positive integer\n"
 
 
 #: exact stdout and exit code of the table and CSV renderings; the

@@ -22,6 +22,8 @@ from wordpack.core import (
 from wordpack.count import count_generalized, occurrence_denominator, weighted_count
 from wordpack.search import (
     SearchBudget,
+    _BudgetExceeded,
+    _Meter,
     _canonical_array,
     _count_vector,
     _normalize_weights,
@@ -157,6 +159,29 @@ class TestMaxCountAgainstOracle:
             max_count(parse_pattern("123"), 3, 2)
         with pytest.raises(ValueError):
             max_count(parse_pattern("123"), 0, 4)
+
+
+class TestMeter:
+    def test_no_budget_never_raises(self):
+        for budget in (None, SearchBudget()):
+            meter = _Meter(budget)
+            for _ in range(5000):
+                meter.tick()
+            assert meter.nodes == 5000
+
+    def test_node_budget_raises_on_the_next_tick(self):
+        meter = _Meter(SearchBudget(max_nodes=3))
+        for _ in range(3):
+            meter.tick()
+        with pytest.raises(_BudgetExceeded):
+            meter.tick()
+        assert meter.nodes == 3
+
+    def test_passed_deadline_raises_on_the_first_tick(self):
+        meter = _Meter(SearchBudget(max_seconds=-1.0))
+        with pytest.raises(_BudgetExceeded):
+            meter.tick()
+        assert meter.nodes == 0
 
 
 class TestBranchAndBound:

@@ -264,6 +264,30 @@ class TestBudgets:
         ]
         assert res.lower_bound == 10 and not res.lower_bound_certified
 
+    def test_budget_that_exactly_exhausts_a_length(self):
+        """Length 8 of (3, 4) exhausts in 525 nodes; a budget of exactly
+        that certifies 9 as a lower bound and stops at length 9's first node."""
+        res = shortest_superpattern(3, 4, SearchBudget(max_nodes=525))
+        assert [(v.length, v.verdict, v.nodes) for v in res.log] == [
+            (8, "exhausted", 525),
+            (9, "inconclusive", 0),
+        ]
+        assert res.lower_bound == 9 and not res.lower_bound_certified
+
+    def test_lower_bound_reaching_the_fallback_is_not_certified(self):
+        """2336 = 525 + 1811 nodes exhaust lengths 8 and 9, so the lower
+        bound meets the constructive length 10; but 1231231231 is not known
+        to be the lex-least witness, so the result stays uncertified."""
+        res = shortest_superpattern(3, 4, SearchBudget(max_nodes=2336))
+        assert [(v.length, v.verdict, v.nodes) for v in res.log] == [
+            (8, "exhausted", 525),
+            (9, "exhausted", 1811),
+            (10, "inconclusive", 0),
+        ]
+        assert res.lower_bound == res.length == 10
+        assert res.witness == Word((1, 2, 3, 1, 2, 3, 1, 2, 3, 1))
+        assert not res.lower_bound_certified
+
 
 class TestDeterminism:
     def test_threads_do_not_change_results(self):
