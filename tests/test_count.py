@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,8 +64,6 @@ class TestFrozenValues:
 
 class TestDenominator:
     def test_classical_is_binomial(self):
-        from math import comb
-
         for m in range(1, 5):
             for n in range(m, 10):
                 assert occurrence_denominator(m, m, n) == comb(n, m)
@@ -218,8 +217,10 @@ class TestPatternTable:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.integers(1, 6), min_size=0, max_size=12),
-        st.integers(1, 5),
+        st.integers(0, 5),
     )
+    @example([1, 2, 1], 0)
+    @example([3, 1, 4, 1, 5, 6, 2], 9)
     @example([2, 1, 2], 5)
     @example([6, 6, 1, 6], 5)
     @example([3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 6, 4], 5)
@@ -254,21 +255,60 @@ class TestPatternTable:
         assert second is not first
         assert second == expect == oracles.naive_table(w.letters, 4)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # a few values or many, small or past 2**63, each word drawn over them
+        st.sampled_from((1, 2, 3, 6, 40, 40000, 2 ** 24, 2 ** 63, 2 ** 80))
+        .flatmap(lambda top: st.lists(st.integers(1, top), min_size=1, max_size=22, unique=True))
+        .flatmap(lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=22)),
+        st.integers(1, 5),
+    )
+    @example([5, 3, 5, 1], 3)
+    @example([2 ** 64, 2 ** 63, 2 ** 64 + 1, 2 ** 63, 7], 5)
+    @example([9, 40000, 9, 1, 40000, 2, 39999, 9, 1, 3, 40000, 5, 5, 2, 1, 2, 9, 4, 4, 3, 1, 2], 5)
+    def test_plan_and_scan_agree(self, letters, max_m):
+        """The two engines give the same table on the same word, whatever
+        its alphabet."""
+        from wordpack import count
+
+        letters = tuple(letters)
+        plan = count._plan_table(letters, min(max_m, len(letters)))
+        assert plan == count._scan_table(letters, max_m)
+
+    @pytest.mark.parametrize("max_m", [1, 2, 3, 4, 5])
+    def test_engines_split_at_the_row_limit(self, max_m, monkeypatch):
+        """pattern_table takes the plan up to the last word length whose
+        position sets of sizes 1..max_m fit the row limit, and the scan from
+        the next length on; on both sides it matches the oracle."""
+        from wordpack import count
+
+        last = {1: 8192, 2: 127, 3: 36, 4: 21, 5: 16}[max_m]
+        ran = []
+        for name in ("_plan_table", "_scan_table"):
+            engine = getattr(count, name)
+            monkeypatch.setattr(count, name, lambda *a, name=name, engine=engine: ran.append(name) or engine(*a))
+        rng = random.Random(max_m)
+        for n in (last, last + 1):
+            letters = tuple(rng.randint(1, 5) for _ in range(n))
+            assert pattern_table(Word(letters), max_m) == oracles.naive_table(letters, max_m), n
+        assert ran == ["_plan_table", "_scan_table"]
+
     def test_memo_stays_bounded_across_many_words(self):
         from wordpack import count
 
         rng = random.Random(5)
         sizes = []
         for _ in range(16):
-            # wide alphabets: each word brings about 1800 new value sequences
-            letters = tuple(rng.randint(1, 60) for _ in range(16))
+            # words the scan takes (too many position sets for the plan), on
+            # wide alphabets: each brings thousands of new value sequences
+            letters = tuple(rng.randint(1, 60) for _ in range(24))
             got = pattern_table(Word(letters), 4)
             assert got == oracles.naive_table(letters, 4), letters
             sizes.append(count._MEMO.size())
         assert any(b < a for a, b in zip(sizes, sizes[1:])), "memo never emptied"
-        # one call adds at most C(16,1) + ... + C(16,4) sequences and the
+        # one call adds at most C(24,1) + ... + C(24,4) sequences and the
         # 659 keys of patterns up to length 4
-        assert max(sizes) <= count._TABLE_MEMO_LIMIT + 2516 + 659
+        assert max(sizes) <= count._TABLE_MEMO_LIMIT + 12950 + 659
 
 
 class TestTiebreak:
