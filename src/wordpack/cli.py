@@ -325,6 +325,8 @@ def _route_density(config: RunConfig, p: Pattern) -> DensityValue:
                 raise DensityRouteError(
                     f"route 'cap' could not certify {p} with --ell {config.ell}: {exc}"
                 ) from exc
+            except ValueError as exc:  # the message opens with "ell" or "starts"
+                raise UsageError(f"route 'cap' refuses {p} with --{exc}") from exc
         raise DensityRouteError(f"{p} is not layered")
     if route in ("single-rise", "two-block"):
         for q in candidates:

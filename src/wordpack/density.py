@@ -9,7 +9,9 @@ problem attached to a specific structural route:
   a single rise the coupled root of (1-s*x)^(s+1) = 1 - (s+1)*x;
 * capped layer counts: maximization of the occurrence polynomial over the
   probability simplex by a monotone growth transform, run from every start
-  at once as the rows of one array, with multistart certification;
+  at once as the rows of one array, the best eight then Newton-refined
+  together in one batched solve, with multistart certification (ell and
+  starts past CAP_BLOCK_FLOATS or CAP_MAX_FLOATS are refused);
 * subword (all-adjacent) patterns: the minimal self-overlap shift M, whose
   reciprocal is the density.
 
@@ -225,38 +227,57 @@ def pqr_density(p: int, q: int, r: int) -> DensityValue:
     )
 
 
-#: the cap optimiser grows its starts in consecutive row blocks whose
-#: largest kernel array, rows * C(ell, r) * r^2 floats, stays within this
-CAP_BLOCK_FLOATS = 1 << 21
+#: every cap kernel call runs in row blocks of CAP_BLOCK_FLOATS // (C(ell, r)
+#: * r * ell) rows (one at least), so its largest array, rows * C(ell, r) *
+#: r^2 floats, and its matmul, rows * C(ell, r) * r * ell multiply-adds, stay
+#: within this (a larger matmul starts BLAS threads)
+CAP_BLOCK_FLOATS = 1 << 18
+#: bound on the cap optimiser's starts and refinement points, in floats
+CAP_MAX_FLOATS = 1 << 22
 
 
 class _CapPolynomial:
     """The occurrence polynomial F of a layered shape on ell layers, and its
-    gradient, evaluated at every row of a (points, ell) array."""
+    gradient, evaluated at every row of a (points, ell) array from one
+    table of p_j^e per point, e = 0..max m_i."""
 
     def __init__(self, lengths: Sequence[int], ell: int) -> None:
-        r, self.m = len(lengths), sum(lengths)
-        self.subsets = np.array(list(itertools.combinations(range(ell), r)))
-        self.exponents = np.array(lengths, dtype=np.float64)
+        self.r, self.m, self.ell = len(lengths), sum(lengths), ell
+        subsets = np.array(list(itertools.combinations(range(ell), self.r)))
         self.multinom = factorial(self.m) // prod(map(factorial, lengths))
-        self.lowered = self.exponents - np.eye(r)  # row i: slot i lowered by one
+        self.powers = np.arange(max(lengths) + 1, dtype=np.float64)
+        slots = subsets * len(self.powers)  # see _tables
+        self.value_index = slots + lengths
+        # [c, i, k]: slot k of subset c, with slot i's exponent lowered by one
+        self.gradient_index = slots[:, None, :] + (lengths - np.eye(self.r, dtype=int))
         # row c*r + i carries multinom * m_i of slot i of subset c onto its layer
-        self.incidence = np.zeros((self.subsets.size, ell))
-        self.incidence[np.arange(self.subsets.size), self.subsets.ravel()] = np.tile(
-            self.multinom * self.exponents, len(self.subsets)
+        self.incidence = np.zeros((subsets.size, ell))
+        self.incidence[np.arange(subsets.size), subsets.ravel()] = np.tile(
+            self.multinom * np.array(lengths, dtype=np.float64), len(subsets)
         )
+        self.rows = max(1, CAP_BLOCK_FLOATS // (subsets.size * ell))
+
+    def _tables(self, probs: np.ndarray):
+        """Per row block, each point's p_j^e in column j * len(powers) + e."""
+        for lo in range(0, max(len(probs), 1), self.rows):
+            table = probs[lo : lo + self.rows, :, None] ** self.powers
+            yield table.reshape(-1, self.ell * len(self.powers))
 
     def value(self, probs: np.ndarray) -> np.ndarray:
-        terms = np.prod(probs[:, self.subsets] ** self.exponents, axis=2)
-        return self.multinom * terms.sum(axis=1)
+        return np.concatenate([
+            self.multinom * np.prod(table[:, self.value_index], axis=2).sum(axis=1)
+            for table in self._tables(probs)
+        ])
 
     def gradient(self, probs: np.ndarray) -> np.ndarray:
         """Per slot, the subset products with that slot's exponent lowered
         by one (no division, so zero coordinates are exact), times the
         exponent, summed onto the layers by one matmul."""
-        vals = probs[:, self.subsets][:, :, None, :]  # (points, subsets, 1, r)
-        parts = np.prod(vals ** self.lowered, axis=3)
-        return parts.reshape(len(probs), -1) @ self.incidence
+        return np.concatenate([
+            np.prod(table[:, self.gradient_index], axis=3).reshape(-1, len(self.incidence))
+            @ self.incidence
+            for table in self._tables(probs)
+        ])
 
     def step(self, probs: np.ndarray, fval: np.ndarray) -> np.ndarray:
         """One growth step p_j <- p_j dF_j / (m F) at every row."""
@@ -298,6 +319,86 @@ class _CapPolynomial:
             live = live[~stalled]
         return fval, probs
 
+    def refine(self, tops: np.ndarray, fvals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Newton-refine each top start on each nested support, its z largest
+        masses for z = max(r, 2)..ell, keeping per start the best of the
+        start and its refined points, sizes in ascending order.  At a
+        maximum inside a support's face the active partials coincide, so
+        each (start, support) problem solves grad_a = grad_last with the last
+        coordinate eliminated.  The problems are rows over ell - 1 columns,
+        the head then padding (residual 0, identity Jacobian row); each step
+        takes one gradient call at every live problem's point and its 2 (ell
+        - 1) central-difference points, one batched solve and 40 halvings at
+        once.  A problem leaves when it converges, its Jacobian is singular
+        (dropped), no halving moves it, or after 60 steps; unconverged, it is
+        dropped unless its residual is under 100 * tol."""
+        ell, n, count = self.ell, self.ell - 1, len(tops)
+        sizes = range(max(self.r, 2), ell + 1)
+        if not sizes:
+            return fvals, tops
+        order = np.argsort(-tops, axis=1)
+        perms, xs = [], []  # problem z_index * count + start; column n is its last
+        for z in sizes:
+            support = np.sort(order[:, :z], axis=1)
+            sub = np.clip(np.take_along_axis(tops, support, axis=1), 1e-6, None)
+            sub /= sub.sum(axis=1, keepdims=True)
+            off = np.sort(order[:, z:], axis=1)
+            perms.append(np.hstack([support[:, :-1], off, support[:, -1:]]))
+            xs.append(np.hstack([sub[:, :-1], np.zeros_like(off, dtype=np.float64)]))
+        perm, x = np.vstack(perms), np.vstack(xs)  # problem column -> layer
+        unperm = np.argsort(perm, axis=1)
+        head = np.arange(n) < np.repeat(np.asarray(sizes) - 1, count)[:, None]
+        tol, h = 1e-12 * max(self.multinom, 1), 1e-7
+        shifts = np.vstack([np.zeros(n), h * np.eye(n), -h * np.eye(n)])
+        halvings = np.ldexp(1.0, -np.arange(40))[:, None]
+
+        def residual(k: np.ndarray, points: np.ndarray) -> np.ndarray:
+            """grad_a - grad_last of problems k at points (len(k), q, n)."""
+            ys = np.concatenate([points, 1.0 - points.sum(axis=2, keepdims=True)], axis=2)
+            full = np.take_along_axis(ys, unperm[k, None], axis=2)
+            g = self.gradient(full.reshape(-1, ell)).reshape(full.shape)
+            g = np.take_along_axis(g, perm[k, None], axis=2)
+            return np.where(head[k, None], g[:, :, :-1] - g[:, :, -1:], 0.0)
+
+        converged, dropped = np.zeros((2, len(x)), dtype=bool)
+        live = np.arange(len(x))
+        for _ in range(60):
+            res = residual(live, x[live, None] + shifts * head[live, None])
+            done = np.abs(res[:, 0]).max(axis=1) < tol
+            converged[live[done]] = True
+            live, res = live[~done], res[~done]
+            if live.size == 0:
+                break
+            jac = (res[:, 1 : n + 1] - res[:, n + 1 :]).transpose(0, 2, 1) / (2 * h)
+            jac += np.eye(n) * ~head[live, None]
+            try:
+                delta = np.linalg.solve(jac, res[:, 0, :, None])[..., 0]
+            except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
+                delta = np.zeros((live.size, n))
+                for i, k in enumerate(live):
+                    try:
+                        delta[i] = np.linalg.solve(jac[i], res[i, 0])
+                    except np.linalg.LinAlgError:
+                        dropped[k] = True
+            trial = x[live, None] - halvings * delta[:, None]  # padding stays 0
+            ok = np.where(head[live, None], trial, 1.0).min(axis=2) > 0
+            ok &= trial.sum(axis=2) < 1
+            moved = ok.any(axis=1) & ~dropped[live]
+            x[live[moved]] = trial[moved, ok[moved].argmax(axis=1)]
+            live = live[moved]
+        rest = np.flatnonzero(~converged & ~dropped)
+        far = np.abs(residual(rest, x[rest, None])[:, 0]).max(axis=1) >= 100 * tol
+        dropped[rest[far]] = True
+        refined = np.take_along_axis(
+            np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)]), unperm, axis=1
+        )
+        frefined = np.where(dropped, -np.inf, self.value(refined))
+        best_f, best_x = fvals.copy(), tops.copy()
+        for f, p in zip(frefined.reshape(-1, count), refined.reshape(-1, count, ell)):
+            better = f > best_f
+            best_f[better], best_x[better] = f[better], p[better]
+        return best_f, best_x
+
 
 def layered_density_cap(
     shape: LayeredShape, ell: int, starts: int = 64, seed: int = 12345
@@ -310,20 +411,30 @@ def layered_density_cap(
     Maximized with the growth transform p_j <- p_j dF_j / (m F), which is
     monotone for polynomials with nonnegative coefficients, from a fixed
     family of starts (three fixed, then ``starts`` Dirichlet draws).  The
-    starts are the rows of one array, grown together in row blocks of at
-    most CAP_BLOCK_FLOATS kernel entries; the best eight are then refined
-    by Newton steps on each nested support.  Certified when at least two
-    independent starts agree to 1e-11."""
+    starts are the rows of one array, grown together; the best eight are
+    then refined together by Newton steps on each nested support
+    (_CapPolynomial.refine).  Kernel calls run in row blocks of at most
+    CAP_BLOCK_FLOATS.  Certified when at least two independent starts
+    agree to 1e-11.
+
+    Before allocating anything, raises ValueError, its message opening
+    with the argument at fault, when ell < r, when one start's kernel row,
+    C(ell, r) * r^2 floats, exceeds CAP_BLOCK_FLOATS, or when the
+    refinement's points (under 16 * ell^3 floats) or the starts ((starts +
+    3) * ell floats) exceed CAP_MAX_FLOATS."""
     lengths = shape.lengths
     r, m = len(lengths), sum(lengths)
-    if ell < r:
-        raise ValueError(f"need at least r={r} layers, got ell={ell}")
+    if ell < r or comb(ell, r) * r * r > CAP_BLOCK_FLOATS or 16 * ell ** 3 > CAP_MAX_FLOATS:
+        raise ValueError(f"ell {ell}: need r <= ell, C(ell, r)*r^2 <= {CAP_BLOCK_FLOATS} "
+                         f"and 16*ell^3 <= {CAP_MAX_FLOATS} (r = {r})")
+    if (starts + 3) * ell > CAP_MAX_FLOATS:
+        raise ValueError(f"starts {starts}: need (starts + 3)*ell <= {CAP_MAX_FLOATS} (ell = {ell})")
     poly = _CapPolynomial(lengths, ell)
 
     spike = np.full(ell, 1e-3)
     spike[:r] += 1.0
     weighted = np.full(ell, 1e-3)
-    weighted[:r] += poly.exponents
+    weighted[:r] += lengths
     points = np.vstack([
         np.full(ell, 1.0 / ell),
         spike / spike.sum(),
@@ -333,93 +444,17 @@ def layered_density_cap(
     points = np.clip(points, 1e-12, None)
     points /= points.sum(axis=1, keepdims=True)
 
-    def support_newton(
-        probs: np.ndarray, support: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Equal-partials refinement on a fixed support: at a maximum
-        interior to the support's face all active partials coincide, so
-        solve grad_a = grad_last with the last coordinate eliminated.
-        Each step evaluates the residual at x and at the 2 * |head|
-        central-difference points in one gradient call.  Returns the
-        refined point or None when the solve fails."""
-        if support.size < 2:
-            return None
-        last = support[-1]
-        head = support[:-1]
-
-        def residual(xs: np.ndarray) -> np.ndarray:
-            full = np.zeros((len(xs), ell))
-            full[:, head] = xs
-            full[:, last] = 1.0 - xs.sum(axis=1)
-            g = poly.gradient(full)
-            return g[:, head] - g[:, last, None]
-
-        sub = np.clip(probs[support], 1e-6, None)
-        sub = sub / sub.sum()
-        x = sub[:-1].copy()
-        tol = 1e-12 * max(poly.multinom, 1)
-        h = 1e-7
-        shifts = h * np.eye(head.size)
-        converged = False
-        for _ in range(60):
-            res = residual(np.vstack([x, x + shifts, x - shifts]))
-            r0 = res[0]
-            if np.max(np.abs(r0)) < tol:
-                converged = True
-                break
-            jac = (res[1 : head.size + 1] - res[head.size + 1 :]).T / (2 * h)
-            try:
-                delta = np.linalg.solve(jac, r0)
-            except np.linalg.LinAlgError:
-                return None
-            t = 1.0
-            moved = False
-            for _ in range(40):
-                xn = x - t * delta
-                if xn.min() > 0 and xn.sum() < 1:
-                    x = xn
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-        if not converged and np.max(np.abs(residual(x[None]))) >= 100 * tol:
-            return None
-        full = np.zeros(ell)
-        full[head] = x
-        full[last] = 1.0 - x.sum()
-        return full
-
-    def refine(probs: np.ndarray, fval: float) -> Tuple[float, np.ndarray]:
-        """Newton-refine over every nested candidate support (largest
-        masses first); keep whatever scores best."""
-        best_f, best_x = fval, probs
-        order = np.argsort(-probs)
-        for size in range(r, ell + 1):
-            support = np.sort(order[:size])
-            refined = support_newton(probs, support)
-            if refined is None:
-                continue
-            frefined = float(poly.value(refined[None])[0])
-            if frefined > best_f:
-                best_f, best_x = frefined, refined
-        return best_f, best_x
-
-    rows = max(1, CAP_BLOCK_FLOATS // (poly.subsets.size * r))
-    results: List[Tuple[float, np.ndarray]] = []
-    for lo in range(0, len(points), rows):
-        fvals, grown = poly.grow(points[lo : lo + rows])
-        results.extend(zip(map(float, fvals), grown))
-
-    results.sort(key=lambda t: -t[0])
-    results = [refine(probs, fval) for fval, probs in results[:8]] + results[8:]
-    results.sort(key=lambda t: -t[0])
-    best, best_p = results[0]
-    agreeing = sum(1 for v, _ in results if best - v <= 1e-11)
+    fvals, grown = poly.grow(points)
+    order = np.argsort(-fvals, kind="stable")
+    fvals, grown = fvals[order], grown[order]
+    fvals[:8], grown[:8] = poly.refine(grown[:8], fvals[:8])
+    order = np.argsort(-fvals, kind="stable")
+    best, best_p = float(fvals[order[0]]), grown[order[0]]
+    agreeing = int(np.sum(best - fvals <= 1e-11))
     if agreeing < 2:
         raise RuntimeError(
             f"multistart disagreement: best {best}, runner-up "
-            f"{results[1][0] if len(results) > 1 else None}"
+            f"{float(fvals[order[1]]) if len(fvals) > 1 else None}"
         )
     grad = poly.gradient(best_p[None])[0]
     support = best_p > 1e-7

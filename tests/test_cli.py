@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wordpack
+from wordpack import density
 from wordpack.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -157,6 +162,39 @@ class TestDensity:
         code, out, err = run_cli(capsys, *argv, flag, "-1")
         assert code == EXIT_USAGE and out == ""
         assert flag in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("-p", "12", "--ell", "3", "--starts", "100000000"), "--starts"),
+            (("-p", "1234", "--ell", "200"), "--ell"),
+            (("-p", "12", "--ell", "3", "--starts", "99999999999999999999"), "--starts"),
+        ],
+    )
+    def test_cap_route_size_limits(self, capsys, monkeypatch, argv, flag):
+        """Too large an --ell or --starts is refused in one line, before the
+        optimiser builds anything."""
+        def build(*args):
+            raise AssertionError("the cap optimiser started on a refused input")
+
+        monkeypatch.setattr(density, "_CapPolynomial", build)
+        code, out, err = run_cli(capsys, "density", "--route", "cap", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"wordpack: error: route 'cap' refuses {argv[1]} with {flag} ")
+        assert len(err.splitlines()) == 1
+
+    def test_cap_route_ignores_the_blas_thread_count(self):
+        """The same JSON result with one and with two BLAS threads."""
+        argv = ["density", "-p", "1122", "--route", "cap", "--ell", "8", "--format", "json"]
+        script = f"import sys; from wordpack.cli import main; sys.exit(main({argv!r}))"
+        src = os.path.dirname(os.path.dirname(wordpack.__file__))
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            results.append(json.dumps(json.loads(out)["result"]).encode())
+        assert results[0] == results[1]
 
     def test_no_route_for_vincular(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "12-1")

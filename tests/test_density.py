@@ -208,6 +208,37 @@ class TestLayeredCap:
                 assert part.aux["agreeing_starts"] == whole.aux["agreeing_starts"]
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("lengths, ell", [((2, 1, 1), 4), ((2, 2), 6), ((1, 2), 3)])
+    def test_batch_does_not_change_a_refinement(self, monkeypatch, lengths, ell):
+        """Refining each of the top eight starts alone, or all eight under
+        kernel blocks of 1 or 5 rows, gives the value and point of refining
+        all eight together in one block.  The grown starts are already at
+        the maximum here, so the same holds for them moved halfway to
+        seeded Dirichlet points, which the refinement improves."""
+        seen = []
+        refine = density._CapPolynomial.refine
+        monkeypatch.setattr(density._CapPolynomial, "refine",
+                            lambda poly, *args: seen.append(args) or refine(poly, *args))
+        layered_density_cap(LayeredShape(lengths), ell)
+        monkeypatch.undo()
+        (tops, fvals), = seen
+        rough = (tops + np.random.default_rng(5).dirichlet(np.ones(ell), size=8)) / 2
+        per_row = math.comb(ell, len(lengths)) * len(lengths) * ell
+        for tops, fvals in ((tops, fvals), (rough, density._CapPolynomial(lengths, ell).value(rough))):
+            want_f, want_x = density._CapPolynomial(lengths, ell).refine(tops, fvals)
+            alone = [density._CapPolynomial(lengths, ell).refine(tops[i : i + 1], fvals[i : i + 1])
+                     for i in range(8)]
+            results = [(np.concatenate([f for f, _ in alone]), np.vstack([x for _, x in alone]))]
+            for rows in (1, 5):
+                monkeypatch.setattr(density, "CAP_BLOCK_FLOATS", rows * per_row)
+                poly = density._CapPolynomial(lengths, ell)
+                assert poly.rows == rows
+                results.append(poly.refine(tops, fvals))
+            monkeypatch.undo()
+            for f, x in results:
+                assert np.max(np.abs(f - want_f)) <= 1e-15
+                assert np.max(np.abs(x - want_x)) <= 1e-15
+        assert np.sum(want_f > fvals) >= 6
 
 def _direct_gradient(lengths, probs):
     """dF/dp_j summed subset by subset: m_i p_j^(m_i - 1) times the other
@@ -252,6 +283,25 @@ class TestCapGradient:
             row[support[-1]] = 1.0 - row.sum()
         self.check(lengths, points)
 
+
+
+class TestCapValue:
+    @pytest.mark.parametrize(
+        "lengths, ell", [((3,), 4), ((2, 1), 5), ((1, 3, 2), 6), ((2, 1, 1, 2), 7)]
+    )
+    def test_power_table_is_exact(self, lengths, ell):
+        """The value read from the table of p_j^e equals, bit for bit, the
+        products of the powers raised subset by subset, at points with
+        exact zeros and 1e-300 entries."""
+        rng = np.random.default_rng(31)
+        points = rng.dirichlet(np.ones(ell), size=40)
+        points[rng.random(points.shape) < 0.2] = 0.0
+        points[rng.random(points.shape) < 0.2] = 1e-300
+        poly = density._CapPolynomial(lengths, ell)
+        subsets = np.array(list(combinations(range(ell), len(lengths))))
+        powers = points[:, subsets] ** np.array(lengths, dtype=np.float64)
+        want = poly.multinom * np.prod(powers, axis=2).sum(axis=1)
+        assert np.array_equal(poly.value(points), want)
 
 class TestOverlap:
     def test_anchors(self):
