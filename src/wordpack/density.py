@@ -228,11 +228,11 @@ def pqr_density(p: int, q: int, r: int) -> DensityValue:
 
 
 #: every cap kernel call runs in row blocks of CAP_BLOCK_FLOATS // (C(ell, r)
-#: * r * ell) rows (one at least), so its largest array, rows * C(ell, r) *
-#: r^2 floats, and its matmul, rows * C(ell, r) * r * ell multiply-adds, stay
-#: within this (a larger matmul starts BLAS threads)
+#: * r * ell) rows (one at least), so its matmul's multiply-adds stay within
+#: this (a larger one starts BLAS threads); ell is refused when the gradient's
+#: index array, C(ell, r) * r^2 entries, exceeds it
 CAP_BLOCK_FLOATS = 1 << 18
-#: bound on the cap optimiser's starts and refinement points, in floats
+#: bound on the cap optimiser's starts and refinement arrays, in floats
 CAP_MAX_FLOATS = 1 << 22
 
 
@@ -248,8 +248,9 @@ class _CapPolynomial:
         self.powers = np.arange(max(lengths) + 1, dtype=np.float64)
         slots = subsets * len(self.powers)  # see _tables
         self.value_index = slots + lengths
-        # [c, i, k]: slot k of subset c, with slot i's exponent lowered by one
-        self.gradient_index = slots[:, None, :] + (lengths - np.eye(self.r, dtype=int))
+        # [k, c, i]: slot k of subset c, its exponent lowered by one if k == i
+        lowered = (lengths - np.eye(self.r, dtype=int)).T
+        self.gradient_index = slots.T[:, :, None] + lowered[:, None, :]
         # row c*r + i carries multinom * m_i of slot i of subset c onto its layer
         self.incidence = np.zeros((subsets.size, ell))
         self.incidence[np.arange(subsets.size), subsets.ravel()] = np.tile(
@@ -273,11 +274,13 @@ class _CapPolynomial:
         """Per slot, the subset products with that slot's exponent lowered
         by one (no division, so zero coordinates are exact), times the
         exponent, summed onto the layers by one matmul."""
-        return np.concatenate([
-            np.prod(table[:, self.gradient_index], axis=3).reshape(-1, len(self.incidence))
-            @ self.incidence
-            for table in self._tables(probs)
-        ])
+        blocks = []
+        for table in self._tables(probs):
+            parts = table[:, self.gradient_index[0]]
+            for index in self.gradient_index[1:]:
+                parts *= table[:, index]
+            blocks.append(parts.reshape(-1, len(self.incidence)) @ self.incidence)
+        return np.concatenate(blocks)
 
     def step(self, probs: np.ndarray, fval: np.ndarray) -> np.ndarray:
         """One growth step p_j <- p_j dF_j / (m F) at every row."""
@@ -320,18 +323,17 @@ class _CapPolynomial:
         return fval, probs
 
     def refine(self, tops: np.ndarray, fvals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Newton-refine each top start on each nested support, its z largest
-        masses for z = max(r, 2)..ell, keeping per start the best of the
-        start and its refined points, sizes in ascending order.  At a
-        maximum inside a support's face the active partials coincide, so
-        each (start, support) problem solves grad_a = grad_last with the last
-        coordinate eliminated.  The problems are rows over ell - 1 columns,
-        the head then padding (residual 0, identity Jacobian row); each step
-        takes one gradient call at every live problem's point and its 2 (ell
-        - 1) central-difference points, one batched solve and 40 halvings at
-        once.  A problem leaves when it converges, its Jacobian is singular
-        (dropped), no halving moves it, or after 60 steps; unconverged, it is
-        dropped unless its residual is under 100 * tol."""
+        """Newton-refine each top start on each nested support (its z largest
+        masses, z = max(r, 2)..ell); keep per start the best of the start and
+        its refined points, sizes in ascending order.  At a maximum inside a
+        support's face the active partials coincide, so each (start, z)
+        problem solves grad_a = grad_last with the last coordinate eliminated.
+        Problems are rows over ell - 1 columns, head then padding (residual 0,
+        identity Jacobian row).  Each step makes one gradient call at every
+        live problem's point and its central differences along the head, one
+        batched solve and one line search over 40 halvings.  A problem is
+        dropped on a singular Jacobian, and when it stops unconverged (no
+        halving moves it, or 60 steps) with a residual of 100 * tol or more."""
         ell, n, count = self.ell, self.ell - 1, len(tops)
         sizes = range(max(self.r, 2), ell + 1)
         if not sizes:
@@ -353,17 +355,18 @@ class _CapPolynomial:
         halvings = np.ldexp(1.0, -np.arange(40))[:, None]
 
         def residual(k: np.ndarray, points: np.ndarray) -> np.ndarray:
-            """grad_a - grad_last of problems k at points (len(k), q, n)."""
-            ys = np.concatenate([points, 1.0 - points.sum(axis=2, keepdims=True)], axis=2)
-            full = np.take_along_axis(ys, unperm[k, None], axis=2)
-            g = self.gradient(full.reshape(-1, ell)).reshape(full.shape)
-            g = np.take_along_axis(g, perm[k, None], axis=2)
-            return np.where(head[k, None], g[:, :, :-1] - g[:, :, -1:], 0.0)
+            """grad_a - grad_last at each row of points, a point of problem k[i]."""
+            ys = np.hstack([points, 1.0 - points.sum(axis=1, keepdims=True)])
+            g = self.gradient(np.take_along_axis(ys, unperm[k], axis=1))
+            g = np.take_along_axis(g, perm[k], axis=1)
+            return np.where(head[k], g[:, :-1] - g[:, -1:], 0.0)
 
         converged, dropped = np.zeros((2, len(x)), dtype=bool)
         live = np.arange(len(x))
         for _ in range(60):
-            res = residual(live, x[live, None] + shifts * head[live, None])
+            used = np.hstack([np.ones((live.size, 1), dtype=bool), head[live], head[live]])
+            res = np.zeros(used.shape + (n,))
+            res[used] = residual(live[np.nonzero(used)[0]], (x[live, None] + shifts)[used])
             done = np.abs(res[:, 0]).max(axis=1) < tol
             converged[live[done]] = True
             live, res = live[~done], res[~done]
@@ -387,7 +390,7 @@ class _CapPolynomial:
             x[live[moved]] = trial[moved, ok[moved].argmax(axis=1)]
             live = live[moved]
         rest = np.flatnonzero(~converged & ~dropped)
-        far = np.abs(residual(rest, x[rest, None])[:, 0]).max(axis=1) >= 100 * tol
+        far = np.abs(residual(rest, x[rest])).max(axis=1) >= 100 * tol
         dropped[rest[far]] = True
         refined = np.take_along_axis(
             np.hstack([x, 1.0 - x.sum(axis=1, keepdims=True)]), unperm, axis=1
@@ -418,10 +421,9 @@ def layered_density_cap(
     agree to 1e-11.
 
     Before allocating anything, raises ValueError, its message opening
-    with the argument at fault, when ell < r, when one start's kernel row,
-    C(ell, r) * r^2 floats, exceeds CAP_BLOCK_FLOATS, or when the
-    refinement's points (under 16 * ell^3 floats) or the starts ((starts +
-    3) * ell floats) exceed CAP_MAX_FLOATS."""
+    with the argument at fault, when ell < r, when C(ell, r) * r^2 exceeds
+    CAP_BLOCK_FLOATS, or when the refinement's arrays (under 16 * ell^3
+    floats) or the starts ((starts + 3) * ell floats) exceed CAP_MAX_FLOATS."""
     lengths = shape.lengths
     r, m = len(lengths), sum(lengths)
     if ell < r or comb(ell, r) * r * r > CAP_BLOCK_FLOATS or 16 * ell ** 3 > CAP_MAX_FLOATS:

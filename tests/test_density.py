@@ -213,18 +213,22 @@ class TestLayeredCap:
         """Refining each of the top eight starts alone, or all eight under
         kernel blocks of 1 or 5 rows, gives the value and point of refining
         all eight together in one block.  The grown starts are already at
-        the maximum here, so the same holds for them moved halfway to
-        seeded Dirichlet points, which the refinement improves."""
+        the maximum here, so the same must hold for eight seeded Dirichlet
+        points, which the refinement improves with halved steps."""
         seen = []
         refine = density._CapPolynomial.refine
-        monkeypatch.setattr(density._CapPolynomial, "refine",
-                            lambda poly, *args: seen.append(args) or refine(poly, *args))
+
+        def spy(poly, tops, fvals):
+            seen.append((tops.copy(), fvals.copy()))
+            return refine(poly, tops, fvals)
+
+        monkeypatch.setattr(density._CapPolynomial, "refine", spy)
         layered_density_cap(LayeredShape(lengths), ell)
         monkeypatch.undo()
-        (tops, fvals), = seen
-        rough = (tops + np.random.default_rng(5).dirichlet(np.ones(ell), size=8)) / 2
+        rough = np.random.default_rng(5).dirichlet(np.ones(ell), size=8)
+        seen.append((rough, density._CapPolynomial(lengths, ell).value(rough)))
         per_row = math.comb(ell, len(lengths)) * len(lengths) * ell
-        for tops, fvals in ((tops, fvals), (rough, density._CapPolynomial(lengths, ell).value(rough))):
+        for tops, fvals in seen:
             want_f, want_x = density._CapPolynomial(lengths, ell).refine(tops, fvals)
             alone = [density._CapPolynomial(lengths, ell).refine(tops[i : i + 1], fvals[i : i + 1])
                      for i in range(8)]
@@ -238,7 +242,8 @@ class TestLayeredCap:
             for f, x in results:
                 assert np.max(np.abs(f - want_f)) <= 1e-15
                 assert np.max(np.abs(x - want_x)) <= 1e-15
-        assert np.sum(want_f > fvals) >= 6
+        assert len(seen) == 2 and np.sum(want_f > fvals) >= 6
+
 
 def _direct_gradient(lengths, probs):
     """dF/dp_j summed subset by subset: m_i p_j^(m_i - 1) times the other
