@@ -225,6 +225,7 @@ class TestLayeredCap:
         monkeypatch.setattr(density._CapPolynomial, "refine", spy)
         layered_density_cap(LayeredShape(lengths), ell)
         monkeypatch.undo()
+        assert len(seen) == 1
         rough = np.random.default_rng(5).dirichlet(np.ones(ell), size=8)
         seen.append((rough, density._CapPolynomial(lengths, ell).value(rough)))
         per_row = math.comb(ell, len(lengths)) * len(lengths) * ell
@@ -242,7 +243,7 @@ class TestLayeredCap:
             for f, x in results:
                 assert np.max(np.abs(f - want_f)) <= 1e-15
                 assert np.max(np.abs(x - want_x)) <= 1e-15
-        assert len(seen) == 2 and np.sum(want_f > fvals) >= 6
+        assert np.sum(want_f > fvals) >= 6  # the Dirichlet points, refined last
 
 
 def _direct_gradient(lengths, probs):
@@ -289,7 +290,6 @@ class TestCapGradient:
         self.check(lengths, points)
 
 
-
 class TestCapValue:
     @pytest.mark.parametrize(
         "lengths, ell", [((3,), 4), ((2, 1), 5), ((1, 3, 2), 6), ((2, 1, 1, 2), 7)]
@@ -307,6 +307,7 @@ class TestCapValue:
         powers = points[:, subsets] ** np.array(lengths, dtype=np.float64)
         want = poly.multinom * np.prod(powers, axis=2).sum(axis=1)
         assert np.array_equal(poly.value(points), want)
+
 
 class TestOverlap:
     def test_anchors(self):
