@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,13 +26,19 @@ from .core import Pattern, WeightedPatternSet, Word, flatten, is_canonical
 class Automaton:
     """Occurrence counter of one pattern over a word fed letter by letter.
 
-    A state (j, phi) means the first j pattern letters are matched, phi
-    being the partial monotone map from pattern values to word values
-    (0 for a value not yet assigned).  Free states may extend at any later
-    letter; hot states await an unhyphenated gap and must extend at the
-    very next letter or die.  ``free`` and ``hot`` map the states to their
-    counts, and ``_run`` feeds letters and returns the occurrences they
-    complete.  AutomatonTables compiles the same rule into dense tables.
+    A state (j, kept) means the first j pattern letters are matched by a
+    monotone map phi from pattern values to word values, of which it keeps
+    only what step j or a later one reads: an assigned value is read by
+    the steps that match it again, and a new value's step reads the
+    nearest assigned values below and above it (phi is monotone, so those
+    two decide where the letter falls).  ``kept`` lists phi of those
+    pattern values in increasing order.  Matches that differ only in
+    values no later step reads share a state, and their counts add.  Free
+    states may extend at any later letter; hot states await an
+    unhyphenated gap and must extend at the very next letter or die.
+    ``free`` and ``hot`` map the states to their counts, and ``_run`` feeds
+    letters and returns the occurrences they complete.  AutomatonTables
+    compiles the same rule into dense tables.
     """
 
     __slots__ = ("m", "steps", "hyphens", "free", "hot")
@@ -40,7 +47,7 @@ class Automaton:
         self.m = p.m
         self.steps = _automaton_steps(p.letters)
         self.hyphens = p.hyphens
-        self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, (0,) * p.l): 1}
+        self.free: Dict[Tuple[int, Tuple[int, ...]], int] = {(0, ()): 1}
         self.hot: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def _run(self, letters: Sequence[int]) -> int:
@@ -57,25 +64,21 @@ class Automaton:
             # j < m in every stored state: a completed match is counted,
             # never stored
             for pool in (free, hot):
-                for (j, phi), cnt in pool.items():
-                    v, assigned, lo, hi = steps[j]
+                for (j, kept), cnt in pool.items():
+                    assigned, a, b, make = steps[j]
                     if assigned:
-                        if phi[v - 1] != x:
+                        if kept[a] != x:
                             continue
-                        phi2 = phi
-                    else:
-                        if lo and phi[lo - 1] >= x:
-                            continue
-                        if hi and phi[hi - 1] <= x:
-                            continue
-                        phi2 = phi[: v - 1] + (x,) + phi[v:]
+                    elif (a is not None and kept[a] >= x) or (b is not None and kept[b] <= x):
+                        continue
                     j2 = j + 1
                     if j2 == m:
                         total += cnt
-                    elif j2 in hyphens:
-                        free_add.append(((j2, phi2), cnt))
+                        continue
+                    key = (j2, kept if make is None else make(kept + (x,)))
+                    if j2 in hyphens:
+                        free_add.append((key, cnt))
                     else:
-                        key = (j2, phi2)
                         new_hot[key] = new_hot.get(key, 0) + cnt
             for key, cnt in free_add:
                 free[key] = free.get(key, 0) + cnt
@@ -85,21 +88,37 @@ class Automaton:
 
 
 @lru_cache(maxsize=1 << 10)
-def _automaton_steps(letters: Tuple[int, ...]) -> Tuple[Tuple[int, bool, int, int], ...]:
-    """Per matched-prefix length of a pattern: (next value, already
-    assigned, nearest assigned value below, nearest assigned value above);
-    0 = none."""
+def _automaton_steps(
+    letters: Tuple[int, ...],
+) -> Tuple[Tuple[bool, Optional[int], Optional[int], Optional[itemgetter]], ...]:
+    """Per matched-prefix length j of a pattern: (assigned, a, b, make).
+
+    Step j matches the letter x when kept[a] == x for a value already
+    assigned, else when kept[a] < x < kept[b], a and b being the positions
+    of the nearest assigned values below and above (None: no such value).
+    ``make`` picks the kept values of level j + 1 out of kept + (x,); None
+    keeps kept as it is."""
+    reads = []  # per step, the pattern values it compares the letter with
+    for j, v in enumerate(letters):
+        dom = letters[:j]
+        if v in dom:
+            reads.append((v,))
+        else:
+            reads.append((max((u for u in dom if u < v), default=None),
+                          min((u for u in dom if u > v), default=None)))
+    kept = [sorted(set(letters[:j]).intersection(itertools.chain(*reads[j:])))
+            for j in range(len(letters))] + [[]]
     steps = []
     for j, v in enumerate(letters):
-        dom = set(letters[:j])
-        steps.append(
-            (
-                v,
-                v in dom,
-                max((u for u in dom if u < v), default=0),
-                min((u for u in dom if u > v), default=0),
-            )
-        )
+        pick = [(kept[j] + [v]).index(u) for u in kept[j + 1]]
+        if pick == list(range(len(kept[j]))):
+            make = None
+        elif len(pick) < 2:  # a slice, as itemgetter of one index gives no tuple
+            make = itemgetter(slice(pick[0], pick[0] + 1) if pick else slice(0))
+        else:
+            make = itemgetter(*pick)
+        at = [None if u is None else kept[j].index(u) for u in reads[j]] + [None]
+        steps.append((len(reads[j]) == 1, at[0], at[1], make))
     return tuple(steps)
 
 
@@ -109,47 +128,47 @@ class AutomatonTables:
     states.
 
     Slot 0 is a zero slot that never holds a count; slots 1.. hold the
-    states, ordered by their largest assigned value, so the states whose
-    values are all <= v fill the first ``alive[v]`` slots.  A row is a
+    states, ordered by the least v such that a word over 1..v reaches
+    them, so the states that words over 1..v reach fill the first
+    ``alive[v]`` slots (their kept values are all <= v).  A row is a
     vector of counts over the slots, and ``start`` is the row of the empty
     word: 1 at each pattern's empty match.  Feeding the letter x to a row
-    r gives the row ``r[keep] + r[src[x - 1]]`` and completes
+    r gives the row ``r[keep] + r[src[x - 1]].sum(-1)`` and completes
     ``r @ complete[:, x - 1]`` matches, where
 
     - ``keep[s]`` is s for a free state and 0 for a hot one;
-    - ``src[x - 1, s]`` is the state that x extends to s, or 0 if none
-      (a state has at most one: x is the value phi gives the letter
-      matched last);
+    - ``src[x - 1, s]`` lists the states that x extends to s, in
+      increasing order and padded with the zero slot.  A state may have
+      several: states that differ only in a value x's step reads for the
+      last time, such as the 1 of ``123`` when x matches its 2.  So a
+      source of a state within ``alive[v]`` may sit past it, keeping a
+      value above v that x makes it forget;
     - ``complete[s, x - 1]`` is 1 when x completes the match of s.
 
     ``pattern[s]`` (-1 at slot 0) and ``level[s]`` (the j of the state)
-    describe each slot.  The states order by (largest assigned value,
-    pattern, state), so the tables for a smaller cap' are these tables cut
-    to their first ``alive[cap']`` slots and cap' letters, and ``grow``
-    extends the tables to more letters without renumbering a slot.
+    describe each slot.  The states order by (least v, pattern, state), so
+    a row of the tables for a smaller cap' is the row of these tables cut
+    to their first ``alive[cap']`` slots, and ``grow`` extends the tables
+    to more letters without renumbering a slot.
 
     The tables come from Automaton._run itself, so the rule for which
-    letters extend a state is written once.  They are read off the
-    automaton of p followed by one more hyphenated letter, whose states of
-    length m are the matches of p completed.  Each state extends to at
-    most one state per letter and has one source, so feeding x to a pool
-    of the states with j letters matched, the i-th holding count i,
-    leaves at each state x reaches the number of its source.
+    letters extend a state is written once: each state is fed each letter
+    alone, with count 1, and reaches at most one state or completes.
     """
 
     def __init__(self, patterns: Sequence[Pattern], cap: int) -> None:
-        self._automata = [Automaton(Pattern(p.letters + (1,), p.hyphens | {p.m}))
-                          for p in patterns]
+        self._automata = [Automaton(p) for p in patterns]
         # per pattern and j, the states with j letters matched
         self._levels = [[list(a.free)] + [[] for _ in range(p.m - 1)]
                         for a, p in zip(self._automata, patterns)]
         self._slot = {(i, levels[0][0]): i + 1 for i, levels in enumerate(self._levels)}
+        self._sources: Dict[Tuple[int, int], List[int]] = {}  # (x - 1, slot) -> src list
         size = len(patterns) + 1
         self.cap = 0
         self.pattern = np.arange(-1, len(patterns), dtype=np.intp)
         self.level = np.zeros(size, dtype=np.intp)
         self.keep = np.arange(size, dtype=np.intp)  # the empty matches are free
-        self.src = np.zeros((0, size), dtype=np.intp)
+        self.src = np.zeros((0, size, 1), dtype=np.intp)
         self.complete = np.zeros((size, 0), dtype=np.int8)
         self.start = np.ones(size, dtype=np.int64)
         self.start[0] = 0
@@ -157,57 +176,55 @@ class AutomatonTables:
         self.grow(cap)
 
     def grow(self, cap: int) -> None:
-        """Extend the tables to the letters 1..cap.  Every new state uses a
-        value above the old cap, so it comes from an old state by a new
-        letter or from a new state, and takes a slot after the old ones."""
+        """Extend the tables to the letters 1..cap.  A word over 1..cap that
+        reaches a new state holds a letter above the old cap, so a new
+        state comes from an old state by a new letter or from a new state,
+        and takes a slot after the old ones."""
         old = self.cap
         if cap <= old:
             return
-        # per new state: (top, pattern, key, free, source (pattern, key), letter)
-        found = []
-        completed = []  # ((pattern, key), letter)
+        need: Dict[tuple, int] = {}  # per new state (pattern, key), the least v
+        edges = []  # (letter, state, source state)
+        completed = []  # (state, letter)
         for i, auto in enumerate(self._automata):
             levels = self._levels[i]
-            known = [len(states) for states in levels]
-            m = len(levels)
             for j, states in enumerate(levels):
-                for x in range(1, cap + 1):
-                    pool = states if x > old else states[known[j]:]
-                    auto.free = {key: s for s, key in enumerate(pool)}
-                    auto.hot = {}
-                    auto._run((x,))
-                    # the pool comes first in auto.free, the states x reached after it
-                    reached = itertools.islice(auto.free.items(), len(pool), None)
-                    for group, free in ((reached, True), (auto.hot.items(), False)):
-                        for key, s in group:
-                            if key[0] == m:
-                                completed.append(((i, pool[s]), x))
-                            else:
-                                found.append((max(key[1]), i, key, free, (i, pool[s]), x))
-                                levels[j + 1].append(key)
-        found.sort(key=lambda f: f[:3])
+                for s, key in enumerate(states):
+                    at = need.get((i, key), 0)  # 0 for an old state, fed new letters only
+                    for x in range(1 if at else old + 1, cap + 1):
+                        auto.free, auto.hot = {key: 1}, {}
+                        if auto._run((x,)):
+                            completed.append(((i, key), x))
+                        for reached in (*itertools.islice(auto.free, 1, None), *auto.hot):
+                            state = (i, reached)
+                            if state not in self._slot:
+                                if state not in need:
+                                    levels[j + 1].append(reached)
+                                need[state] = min(need.get(state, cap), max(at, x))
+                            edges.append((x, state, (i, key)))
+        found = sorted(need, key=lambda state: (need[state], state))
         size = len(self.keep)
         slots = range(size, size + len(found))
-        for s, f in zip(slots, found):
-            self._slot[f[1], f[2]] = s
-        self.pattern = np.append(self.pattern, np.array([f[1] for f in found], dtype=np.intp))
-        self.level = np.append(self.level, np.array([f[2][0] for f in found], dtype=np.intp))
+        self._slot.update(zip(found, slots))
+        self.pattern = np.append(self.pattern, np.array([i for i, _ in found], dtype=np.intp))
+        self.level = np.append(self.level, np.array([k[0] for _, k in found], dtype=np.intp))
         self.keep = np.append(self.keep, np.array(
-            [s if f[3] else 0 for s, f in zip(slots, found)], dtype=np.intp))
+            [s if k[0] in self._automata[i].hyphens else 0 for s, (i, k) in zip(slots, found)],
+            dtype=np.intp))
         self.start = np.append(self.start, np.zeros(len(found), dtype=np.int64))
-        src = np.zeros((cap, len(self.keep)), dtype=np.intp)
-        src[:old, :size] = self.src
-        for s, f in zip(slots, found):
-            src[f[5] - 1, s] = self._slot[f[4]]
+        for x, state, source in edges:
+            self._sources.setdefault((x - 1, self._slot[state]), []).append(self._slot[source])
+        width = max(map(len, self._sources.values()), default=1)
+        self.src = np.zeros((cap, len(self.keep), width), dtype=np.intp)
+        for (x, s), sources in self._sources.items():
+            self.src[x, s, :len(sources)] = sorted(sources)
         complete = np.zeros((len(self.keep), cap), dtype=np.int8)
         complete[:size, :old] = self.complete
         for state, x in completed:
             complete[self._slot[state], x - 1] = 1
-        self.src = src
         self.complete = complete
-        tops = [f[0] for f in found]
         self.alive = np.append(self.alive, size + np.searchsorted(
-            tops, np.arange(old + 1, cap + 1), side="right"))
+            [need[state] for state in found], np.arange(old + 1, cap + 1), side="right"))
         self.cap = cap
 
 

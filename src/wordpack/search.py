@@ -248,7 +248,7 @@ class _BranchAndBound:
         tables = self.tables
         tables.grow(letters)
         self.keep = np.tile(tables.keep, (letters, 1))
-        self.src = tables.src
+        self.cuts: Dict[int, List[np.ndarray]] = {}
         self.alive = tables.alive.tolist()
         weight = self.weights[tables.pattern]
         self.gain = tables.complete * weight[:, None]
@@ -273,10 +273,23 @@ class _BranchAndBound:
         counts = [cur + g for g in v.dot(self.gain[:a, :last]).tolist()]
         if t + 1 == self.n:
             return counts, None, None
-        kids = v[self.keep[:last, :a]] + v[self.src[:last, :a]]
+        kids = v[self.keep[:last, :a]]
+        cols = self.cuts.get(a)
+        for src in self._cut(a) if cols is None else cols:
+            kids += v[src[:last]]
         reach = kids.dot(self.reach[self.n - t - 1][:a])
         np.minimum(reach, self.cap_at[t + 1], out=reach)
         return counts, [c + sum(r) for c, r in zip(counts, reach.tolist())], kids
+
+    def _cut(self, a: int) -> List[np.ndarray]:
+        """The columns of tables.src cut to the first a slots, each one
+        (letters, a) array, with the sources at slot a or past it read as
+        the zero slot: no row expanded over a slots holds a count there."""
+        src = self.tables.src[:, :a]
+        src = np.where(src < a, src, 0)
+        cols = self.cuts[a] = [np.ascontiguousarray(src[:, :, i])
+                               for i in range(src.shape[2]) if src[:, :, i].any()]
+        return cols
 
     def run(self) -> bool:
         """Search the whole tree; False when the budget stopped it."""
