@@ -66,6 +66,7 @@ from .construct import (
     twelve_one_word,
 )
 from .search import (
+    MAX_SEARCH_N,
     SearchBudget,
     SearchResult,
     delta_series,
@@ -168,6 +169,11 @@ def _budget(config: RunConfig) -> Optional[SearchBudget]:
     return SearchBudget(
         max_nodes=config.budget_nodes, max_seconds=config.budget_seconds
     )
+
+
+def _check_length(flag: str, n: int) -> None:
+    if n > MAX_SEARCH_N:
+        raise UsageError(f"{flag} {n} is above the longest word a search takes, {MAX_SEARCH_N}")
 
 
 def _parse_n_range(text: str) -> Tuple[int, int]:
@@ -425,6 +431,7 @@ def _no_word(head: Dict[str, object], exc: RuntimeError) -> Tuple[int, _Report]:
 def _cmd_search(config: RunConfig) -> Tuple[int, _Report]:
     if config.pattern is None or config.k is None or config.n is None:
         raise UsageError("search requires -p/--pattern, -k and -n")
+    _check_length("-n", config.n)
     p = parse_pattern(config.pattern)
     budget = _budget(config)
     _check_threads(config)
@@ -443,6 +450,7 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
         raise UsageError("series requires -p/--pattern and --n-range A:B")
     p = parse_pattern(config.pattern)
     lo, hi = _parse_n_range(config.n_range)
+    _check_length("--n-range", hi)
     if lo < p.m:
         raise UsageError(
             f"--n-range starts below the pattern length ({lo} < {p.m})"

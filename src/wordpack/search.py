@@ -58,6 +58,9 @@ from .count import (
 
 #: refuse exhaustive runs beyond this many candidate words unless budgeted
 EXHAUSTIVE_WORD_LIMIT = 8_000_000
+#: refuse words longer than this: branch and bound recurses once per letter
+#: (CPython stops at 1,000 frames) and holds n + 1 bound arrays
+MAX_SEARCH_N = 500
 
 
 def surjection_count(n: int, d: int) -> int:
@@ -439,6 +442,8 @@ def _by_alphabet(
     under key 0."""
     if n < ps.m:
         raise ValueError(f"n={n} shorter than pattern length m={ps.m}")
+    if n > MAX_SEARCH_N:
+        raise ValueError(f"n={n} is above the longest word a search takes, {MAX_SEARCH_N}")
     if budget is None or not budget.bounded:
         total = canonical_count(n, cap)
         if total > EXHAUSTIVE_WORD_LIMIT:

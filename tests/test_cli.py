@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import wordpack
-from wordpack import density
+from wordpack import density, search
 from wordpack.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -223,6 +223,34 @@ class TestSearch:
     def test_too_large_without_budget_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "search", "-p", "121", "-k", "12", "-n", "12")
         assert code == EXIT_USAGE and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("search", "-p", "12", "-k", "2", "-n", "1000", "--budget-nodes", "5000"), "-n 1000"),
+            (("search", "-p", "12", "-k", "3", "-n", "99999999999", "--budget-nodes", "10"),
+             "-n 99999999999"),
+            (("series", "-p", "12", "--n-range", "2:501", "--budget-nodes", "10"), "--n-range 501"),
+        ],
+    )
+    def test_word_length_limit(self, capsys, monkeypatch, argv, flag):
+        """An n past MAX_SEARCH_N is refused in one line, before the search
+        builds anything (branch and bound would recurse past CPython's limit
+        at n = 1000, and allocate n + 1 arrays)."""
+        def build(*args):
+            raise AssertionError("the search started on a refused input")
+
+        monkeypatch.setattr(search, "_by_alphabet", build)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"wordpack: error: {flag} is above the longest word a search takes, 500\n"
+
+    def test_longest_word_searches(self, capsys):
+        code, env = run_json(
+            capsys, "search", "-p", "12", "-k", "2", "-n", "500", "--budget-nodes", "5000"
+        )
+        assert code == EXIT_BUDGET and env["stats"]["nodes"] == 5000
+        assert len(env["result"]["witness"]) == 500
 
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(
