@@ -263,8 +263,9 @@ def _weighted(*pairs):
     return WeightedPatternSet(tuple((parse_pattern(t), Fraction(w)) for t, w in pairs))
 
 
-#: budgeted runs checked against the sweep: k < n, hyphenated patterns and
-#: sets with fractional (and zero) weights
+#: budgeted runs checked against the sweep: k < n, hyphenated patterns,
+#: sets with fractional (and zero) weights, and tables whose sources sit
+#: past the slots a row uses
 _CROSS_CHECKS = [
     ("121", parse_pattern("121"), 3, 7),
     ("132", parse_pattern("132"), 3, 7),
@@ -274,6 +275,8 @@ _CROSS_CHECKS = [
     ("2-13 k5", parse_pattern("2-13"), 5, 6),
     ("132+123+213", _weighted(("132", "1/3"), ("123", "3/4"), ("213", 0)), 4, 6),
     ("12-1+21-2", _weighted(("12-1", "1/2"), ("21-2", "2/3")), 3, 7),
+    ("2431", parse_pattern("2431"), 5, 7),
+    ("321+231", _weighted(("321", 1), ("231", "1/2")), 4, 7),
 ]
 
 
