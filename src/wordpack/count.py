@@ -88,9 +88,7 @@ class Automaton:
 
 
 @lru_cache(maxsize=1 << 10)
-def _automaton_steps(
-    letters: Tuple[int, ...],
-) -> Tuple[Tuple[bool, Optional[int], Optional[int], Optional[itemgetter]], ...]:
+def _automaton_steps(letters: Tuple[int, ...]) -> Tuple[tuple, ...]:
     """Per matched-prefix length j of a pattern: (assigned, a, b, make).
 
     Step j matches the letter x when kept[a] == x for a value already
@@ -189,7 +187,7 @@ class AutomatonTables:
         for i, auto in enumerate(self._automata):
             levels = self._levels[i]
             for j, states in enumerate(levels):
-                for s, key in enumerate(states):
+                for key in states:
                     at = need.get((i, key), 0)  # 0 for an old state, fed new letters only
                     for x in range(1 if at else old + 1, cap + 1):
                         auto.free, auto.hot = {key: 1}, {}

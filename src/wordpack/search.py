@@ -243,11 +243,12 @@ class _BranchAndBound:
 
     def _tabulate(self, letters: int) -> None:
         """Grow the tables to the letters 1..letters and derive, per slot,
-        keep repeated for every letter (so both gathers in _expand take one
+        keep repeated for every letter (so the gathers in _expand take one
         shape and add without broadcasting), the weighted occurrences each
         letter completes (gain) and, per rem, the weighted ways to complete
         its match among rem letters, in the column of its pattern
-        (reach)."""
+        (reach).  The source columns cut to a slots (_cut) are made again
+        on first use."""
         tables = self.tables
         tables.grow(letters)
         self.keep = np.tile(tables.keep, (letters, 1))
