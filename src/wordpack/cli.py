@@ -69,13 +69,19 @@ from .search import (
     MAX_SEARCH_N,
     SearchBudget,
     SearchResult,
+    canonical_count,
     delta_series,
     max_count,
     verify_layered_witness,
     verify_perm_restriction,
     verify_tiebreak_map,
 )
-from .superpattern import is_universal, pattern_universe, shortest_superpattern
+from .superpattern import (
+    MAX_UNIVERSE,
+    is_universal,
+    pattern_universe,
+    shortest_superpattern,
+)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -174,6 +180,20 @@ def _budget(config: RunConfig) -> Optional[SearchBudget]:
 def _check_length(flag: str, n: int) -> None:
     if n > MAX_SEARCH_N:
         raise UsageError(f"{flag} {n} is above the longest word a search takes, {MAX_SEARCH_N}")
+
+
+def _check_universe(l: int, m: int) -> None:
+    """Refuse an (l, m) whose universe holds more than MAX_UNIVERSE patterns
+    before it is built.  Over two letters or more it holds at least 2^m - 1,
+    so an m of MAX_UNIVERSE's bit length or more is refused uncounted."""
+    base = min(l, m)
+    if base > 1 and (
+        m >= MAX_UNIVERSE.bit_length() or canonical_count(m, base) > MAX_UNIVERSE
+    ):
+        raise UsageError(
+            f"-l {l} -m {m} is past the largest universe a universality check "
+            f"takes, {MAX_UNIVERSE} patterns"
+        )
 
 
 def _parse_n_range(text: str) -> Tuple[int, int]:
@@ -524,6 +544,7 @@ def _build(config: RunConfig) -> Construction:
         )
     if b == "super-word":
         _require(b, l=config.l, m=config.m)
+        _check_universe(config.l, config.m)
         return superpattern_word(config.l, config.m)
     if b == "twelve-one":
         _require(b, n=config.n, d=config.d)
@@ -576,6 +597,7 @@ def _cmd_construct(config: RunConfig) -> Tuple[int, _Report]:
 def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
     if config.l is None or config.m is None:
         raise UsageError("super requires -l and -m")
+    _check_universe(config.l, config.m)
     budget = _budget(config)
     _check_threads(config)
     res = shortest_superpattern(config.l, config.m, budget)

@@ -128,11 +128,16 @@ class Word:
     k: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.k == 0:
-            object.__setattr__(self, "k", max(self.letters) if self.letters else 0)
-        if any(not (1 <= v <= self.k) for v in self.letters):
-            raise ValueError(f"letters out of range 1..{self.k}: {self.letters}")
+        letters = self.letters
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+            object.__setattr__(self, "letters", letters)
+        if letters:
+            lo, hi = min(letters), max(letters)
+            if self.k == 0:
+                object.__setattr__(self, "k", hi)
+            if lo < 1 or hi > self.k:
+                raise ValueError(f"letters out of range 1..{self.k}: {letters}")
 
     @property
     def n(self) -> int:

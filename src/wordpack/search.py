@@ -354,13 +354,22 @@ def _dfs_by_alphabet(
     return perd, search.meter.nodes, exhaustive, scale
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=32)
 def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
     """All canonical words of length n on at most cap letters as an int8
     array in lex order, plus the alphabet-support size of each row; each
     column is contiguous.  The words grow a letter column at a time: each
     prefix grows by x = 1..cap in order, keeping the extensions that pass
-    _fits, so rows stay in lex order."""
+    _fits, so rows stay in lex order.
+
+    The cache keeps 32 (n, cap) arrays, so a run of sweeps over a few
+    lengths and alphabets builds each array once.  Worst-case memory: an
+    array takes n + 1 bytes a row, its row count grows at least threefold
+    per letter of n, and the arrays for the caps below n add up to about
+    twice the full one (2.0x at n = 8, 2.3x at n = 9).  So the cache holds
+    at most about 3.5 times its largest array: 16 MB when that is the
+    n = 8 array (545,835 rows, 4.9 MB), 250 MB at n = 9 (7,087,261 rows),
+    the longest space EXHAUSTIVE_WORD_LIMIT lets through."""
     xs = np.arange(1, cap + 1, dtype=np.int8)
     bits = np.left_shift(1, xs, dtype=np.int16 if cap < 15 else np.int64)
     cols = np.zeros((0, 1 if n else 0), dtype=np.int8)  # the empty prefix
@@ -385,23 +394,41 @@ def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
     return cols.T, dcnt
 
 
+def _counter_dtype(most: int):
+    """The narrowest unsigned dtype that holds every count up to most."""
+    if most < 1 << 8:
+        return np.uint8
+    if most < 1 << 16:
+        return np.uint16
+    return np.uint32 if most < 1 << 32 else np.uint64
+
+
 def _count_vector(p: Pattern, words: np.ndarray) -> np.ndarray:
     """Occurrence counts of p in every row of words: for each set of
     positions that keeps p's unhyphenated gaps adjacent, add 1 where the
     letters there, taken in the order of p's letters, compare == where
-    p's letters tie and < where they rise."""
+    p's letters tie and < where they rise.
+
+    There are C(n - m + b, b) such sets, so no count passes that bound,
+    and the counts are kept in the narrowest unsigned dtype that holds it
+    (uint8 up to 255 sets): the adds over the rows cost less the narrower
+    they are.  Callers widen the result before they weight it."""
     nwords, n = words.shape
     block = list(itertools.accumulate(int(g in p.hyphens) for g in range(p.m)))
     order = sorted(range(p.m), key=lambda i: (p.letters[i], i))
     steps = [(a, c, np.equal if p.letters[a] == p.letters[c] else np.less)
              for a, c in zip(order, order[1:])]
     cols = words.T
-    out = np.zeros(nwords, dtype=np.int64)
+    out = np.zeros(nwords, dtype=_counter_dtype(occurrence_denominator(p.m, p.b, n)))
     hit, tmp = np.empty((2, nwords), dtype=bool)
+    head, rest = steps[:1], steps[1:]  # the first comparison writes hit
+    if not head:  # one letter: every position set is an occurrence
+        hit.fill(True)
     for starts in itertools.combinations(range(n - p.m + p.b), p.b):
         pos = [starts[block[q]] + q - block[q] for q in range(p.m)]
-        hit.fill(True)
-        for a, c, cmp in steps:
+        for a, c, cmp in head:
+            cmp(cols[pos[a]], cols[pos[c]], out=hit)
+        for a, c, cmp in rest:
             cmp(cols[pos[a]], cols[pos[c]], out=tmp)
             hit &= tmp
         out += hit

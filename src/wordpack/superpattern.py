@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 
+#: the largest universe the CLI's super and super-word builder take:
+#: (7, 7) has 47,293 patterns and (8, 8) 545,835.  Every (l, m) within it
+#: also keeps level m of is_universal to min(l, m)^m <= 2^22 bits.
+MAX_UNIVERSE = 1 << 17
+
+
 @dataclass(frozen=True)
 class UniverseSpec:
     """All patterns of length m on at most l distinct letters."""

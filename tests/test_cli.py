@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import wordpack
-from wordpack import density, search
+from wordpack import cli, density, search, superpattern
 from wordpack.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -20,6 +21,7 @@ from wordpack.cli import (
     EXIT_USAGE,
     main,
 )
+from wordpack.search import canonical_count
 
 
 def run_cli(capsys, *argv):
@@ -418,6 +420,45 @@ class TestSuper:
     def test_csv_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "super", "-l", "2", "-m", "2", "--format", "csv")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("super", "-l", "8", "-m", "8"),
+            ("super", "-l", "8", "-m", "8", "--budget-nodes", "10"),
+            ("super", "-l", "2", "-m", "18"),
+            ("super", "-l", "3", "-m", "99999999999"),
+            ("construct", "--builder", "super-word", "-l", "8", "-m", "8"),
+        ],
+    )
+    def test_universe_size_limit(self, capsys, monkeypatch, argv):
+        """A universe past MAX_UNIVERSE patterns is refused in one line
+        before it is built: (8, 8) has 545,835 patterns, and took about
+        71 s and 2.5 GB to reach its budget's exit 2."""
+        def build(*args):
+            raise AssertionError("the universe was built for a refused input")
+
+        monkeypatch.setattr(superpattern, "_universe_cached", build)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        l, m = argv[argv.index("-l") + 1], argv[argv.index("-m") + 1]
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"wordpack: error: -l {l} -m {m} is past the largest universe "
+                       "a universality check takes, 131072 patterns\n")
+
+    def test_largest_universes_pass(self):
+        """(2, 17) and (7, 7) are the largest universes the limit keeps, and
+        no universe it keeps has a level m of more than 2^22 bits."""
+        assert superpattern.MAX_UNIVERSE == 1 << 17
+        kept = [(l, m) for m in range(1, 18) for l in range(1, m + 1)
+                if canonical_count(m, l) <= superpattern.MAX_UNIVERSE]
+        for l, m in kept:
+            cli._check_universe(l, m)
+            assert l ** m <= 1 << 22
+        assert (2, 17) in kept and (7, 7) in kept and (3, 11) not in kept
+        cli._check_universe(1, 10 ** 6)  # one letter: one pattern
+        cli._check_universe(20, 7)  # (7, 7)
 
 
 class TestTable3:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,34 @@ class TestWord:
 
     def test_not_auto_canonicalized(self):
         assert Word((2, 4, 2)).letters == (2, 4, 2)
+
+    @pytest.mark.parametrize(
+        "letters, k, shown",
+        [((1, 0, 2), 3, "1..3"), ((1, 4, 2), 3, "1..3"), ((1, -2), 2, "1..2"),
+         ((0,), 0, "1..0"), ((-1, -3), 0, "1..-1")],
+        ids=["zero", "above-k", "negative", "zero-default-k", "negative-default-k"],
+    )
+    def test_letters_out_of_range(self, letters, k, shown):
+        with pytest.raises(ValueError, match=rf"^letters out of range {shown}: "
+                                             rf"{re.escape(str(letters))}$"):
+            Word(letters, k)
+
+    def test_letters_become_a_tuple(self):
+        w = Word([3, 1, 3])
+        assert type(w.letters) is tuple and w.letters == (3, 1, 3) and w.k == 3
+        assert w == Word((3, 1, 3)) and hash(w) == hash(Word((3, 1, 3)))
+        assert Word(iter((1, 2)), 5) == Word((1, 2), 5)
+
+    def test_k_defaults_to_the_largest_letter(self):
+        assert Word((1, 1)).k == 1
+        assert Word((5, 2, 7, 1)).k == 7
+        assert Word((1, 2), 9).k == 9
+
+    def test_empty_word(self):
+        w = Word(())
+        assert (w.letters, w.k, w.n) == ((), 0, 0)
+        assert Word([], 4) == Word((), 4) and Word((), 4).k == 4
+        assert w.canonical() == w
 
 
 class TestWeightedPatternSet:

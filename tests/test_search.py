@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,72 @@ class TestSweepKernels:
         got = _count_vector(p, words).tolist()
         want = [oracles.naive_count(letters, gaps, row) for row in words.tolist()]
         assert got == want
+
+
+    @pytest.mark.parametrize(
+        "ptxt, n, dtype",
+        [("12-1", 24, "uint8"), ("12-1", 25, "uint16"), ("1-2", 23, "uint8"),
+         ("1-2", 24, "uint16"), ("1", 255, "uint8"), ("1", 256, "uint16")],
+    )
+    def test_counters_either_side_of_255(self, ptxt, n, dtype):
+        """C(n - m + b, b) placements, on either side of 255 (12-1 has
+        C(n - 1, 2): 253 at n = 24, 276 at 25), in the narrowest counter
+        that holds them, against the oracle on random words and on the
+        constant word, which is an occurrence at every placement of 11-1."""
+        p = parse_pattern(ptxt)
+        rng = np.random.default_rng(n)
+        words = np.vstack([np.ones((1, n), dtype=np.int8),
+                           rng.integers(1, 4, size=(3, n), dtype=np.int8)])
+        got = _count_vector(p, words)
+        assert got.dtype == dtype
+        want = [oracles.naive_count(p.letters, p.hyphens, row) for row in words.tolist()]
+        assert got.tolist() == want
+        flat = parse_pattern("11-1" if p.m == 3 else "1" * p.m)
+        assert _count_vector(flat, words[:1]).tolist() == [occurrence_denominator(p.m, p.b, n)]
+
+    @pytest.mark.parametrize("n, dtype", [(363, "uint16"), (364, "uint32")])
+    def test_counters_either_side_of_65535(self, n, dtype):
+        """11-1 has C(n - 1, 2) placements: 65,341 at n = 363, 65,703 at
+        364; the constant word is an occurrence at each of them, and a word
+        with one 2 loses the placements that take it."""
+        p = parse_pattern("11-1")
+        words = np.ones((2, n), dtype=np.int8)
+        two = n // 2
+        words[1, two] = 2
+        got = _count_vector(p, words)
+        assert got.dtype == dtype
+        total = comb(n - 1, 2)
+        apart = sum(two not in (i, i + 1, c) for i in range(n - 1) for c in range(i + 2, n))
+        assert got.tolist() == [total, apart]
+        assert total == occurrence_denominator(3, 2, n) and (total > 65535) == (n == 364)
+
+    def test_counter_dtype_boundaries(self):
+        for most, dtype in [(0, np.uint8), (255, np.uint8), (256, np.uint16),
+                            (65535, np.uint16), (65536, np.uint32),
+                            (2 ** 32 - 1, np.uint32), (2 ** 32, np.uint64)]:
+            assert search._counter_dtype(most) is dtype
+
+
+class TestCanonicalArrayCache:
+    def test_each_array_is_built_once(self):
+        """A run of sweeps over a few lengths and alphabets, as in a table of
+        exact maxima, builds each (n, cap) array once, even when later
+        sweeps come back to earlier arrays."""
+        calls = []
+        for _ in range(2):
+            for n in range(4, 8):
+                calls += [("k", "121", k, n) for k in (2, 3, n)]
+                calls += [("d", "12-1", None, n), ("k", "1122", 2, n)]
+        _canonical_array.cache_clear()
+        for kind, ptxt, k, n in calls:
+            if kind == "k":
+                max_count(parse_pattern(ptxt), k, n)
+            else:
+                max_count_by_alphabet(parse_pattern(ptxt), n)
+        keys = {(n, n if k is None else min(k, n)) for _, _, k, n in calls}
+        info = _canonical_array.cache_info()
+        assert len(keys) == 12 and info.misses == len(keys)
+        assert info.hits == len(calls) - len(keys)
 
 
 class TestMaxCountAgainstOracle:
