@@ -362,14 +362,11 @@ def _canonical_array(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
     prefix grows by x = 1..cap in order, keeping the extensions that pass
     _fits, so rows stay in lex order.
 
-    The cache keeps 32 (n, cap) arrays, so a run of sweeps over a few
-    lengths and alphabets builds each array once.  Worst-case memory: an
-    array takes n + 1 bytes a row, its row count grows at least threefold
-    per letter of n, and the arrays for the caps below n add up to about
-    twice the full one (2.0x at n = 8, 2.3x at n = 9).  So the cache holds
-    at most about 3.5 times its largest array: 16 MB when that is the
-    n = 8 array (545,835 rows, 4.9 MB), 250 MB at n = 9 (7,087,261 rows),
-    the longest space EXHAUSTIVE_WORD_LIMIT lets through."""
+    The cache keeps 32 (n, cap) arrays, so a run of sweeps builds each one
+    once.  An array takes n + 1 bytes a row, rows grow at least threefold
+    per letter of n, and the caps below n add up to about twice the full
+    array, so the cache holds at most about 3.5 times its largest array:
+    16 MB with the n = 8 one (4.9 MB), 250 MB at n = 9."""
     xs = np.arange(1, cap + 1, dtype=np.int8)
     bits = np.left_shift(1, xs, dtype=np.int16 if cap < 15 else np.int64)
     cols = np.zeros((0, 1 if n else 0), dtype=np.int8)  # the empty prefix
