@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
-    ParseError,
     Pattern,
     blocks,
     layered_decompose,
@@ -185,7 +184,9 @@ def _check_length(flag: str, n: int) -> None:
 def _check_universe(l: int, m: int) -> None:
     """Refuse an (l, m) whose universe holds more than MAX_UNIVERSE patterns
     before it is built.  Over two letters or more it holds at least 2^m - 1,
-    so an m of MAX_UNIVERSE's bit length or more is refused uncounted."""
+    so an m of MAX_UNIVERSE's bit length or more is refused uncounted.  A
+    one-letter universe holds one pattern, but its words have m letters, so
+    m is held to MAX_SEARCH_N as a search's n is."""
     base = min(l, m)
     if base > 1 and (
         m >= MAX_UNIVERSE.bit_length() or canonical_count(m, base) > MAX_UNIVERSE
@@ -193,6 +194,10 @@ def _check_universe(l: int, m: int) -> None:
         raise UsageError(
             f"-l {l} -m {m} is past the largest universe a universality check "
             f"takes, {MAX_UNIVERSE} patterns"
+        )
+    if m > MAX_SEARCH_N:
+        raise UsageError(
+            f"-m {m} is above the longest pattern a universality check takes, {MAX_SEARCH_N}"
         )
 
 
@@ -391,12 +396,7 @@ def _cmd_density(config: RunConfig) -> Tuple[int, _Report]:
     if config.starts < 0:
         raise UsageError("--starts must be a nonnegative integer")
     p = parse_pattern(config.pattern)
-    try:
-        dv = _route_density(config, p)
-    except (DensityRouteError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc))
+    dv = _route_density(config, p)
     result = {"pattern": p, "route": config.route, **_density_obj(dv), "aux": dv.aux}
     table = {
         "pattern": p,
@@ -939,10 +939,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             return run(config)
-    except UsageError as exc:
-        sys.stderr.write(f"wordpack: error: {exc}\n")
-        return EXIT_USAGE
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, ParseError and DensityRouteError too
         sys.stderr.write(f"wordpack: error: {exc}\n")
         return EXIT_USAGE
     except AssertionError as exc:

@@ -10,13 +10,12 @@ C(n - m + b, b), which reduces to C(n, m) for classical patterns.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -292,95 +291,6 @@ def tiebreak_permutation(w: Word) -> Word:
     return Word(tuple(out), w.n)
 
 
-#: Entries (value sequences plus table keys) the memos of _scan_table may
-#: hold at the start of a call; past it they are emptied, so a long sweep
-#: keeps a flat memory footprint.
-_TABLE_MEMO_LIMIT = 1 << 14
-
-
-class _TableLevel:
-    """Memo for the subsequences of one length j.
-
-    Each flattened class of length j owns a block of 2**(j-1) consecutive
-    ids, one per gap mask h: id start + h stands for the table key
-    (class, h) and for the subsequences of the class whose adjacency mask
-    is h.  Keys and spreads are built on first use.
-    """
-
-    def __init__(self, j: int) -> None:
-        self.width = 1 << (j - 1)
-        self.block_of: Dict[Tuple[int, ...], int] = {}  # class -> block start
-        self.flats: List[Tuple[int, ...]] = []  # block number -> class
-        self.keys: List[Optional[Tuple[Tuple[int, ...], int]]] = []
-        #: id -> ids of the keys that the subsequences behind it feed
-        self.spread: List[Optional[Tuple[int, ...]]] = []
-
-    def block(self, flat: Tuple[int, ...]) -> int:
-        start = self.block_of.get(flat)
-        if start is None:
-            start = self.block_of[flat] = len(self.keys)
-            self.flats.append(flat)
-            self.keys.extend([None] * self.width)
-            self.spread.extend([None] * self.width)
-        return start
-
-    def expand(self, cid: int) -> Tuple[int, ...]:
-        adj = cid & (self.width - 1)
-        start = cid - adj
-        flat = self.flats[start // self.width]
-        nonadj = (self.width - 1) & ~adj
-        # every hyphenation containing the non-adjacent gaps
-        ids = []
-        sub = adj
-        while True:
-            i = start + (nonadj | sub)
-            if self.keys[i] is None:
-                self.keys[i] = (flat, nonadj | sub)
-            ids.append(i)
-            if sub == 0:
-                break
-            sub = (sub - 1) & adj
-        spread = self.spread[cid] = tuple(ids)
-        return spread
-
-
-class _TableMemo:
-    """What _scan_table's finishing pass learns, kept across calls: the
-    class block of every value sequence seen, per digit width, and one
-    _TableLevel per subsequence length."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        self.starts: Dict[int, Dict[int, int]] = {}  # digit bits -> sequence -> block
-        self.levels: List[_TableLevel] = []  # index j - 1
-
-    def size(self) -> int:
-        return sum(map(len, self.starts.values())) + sum(len(lv.keys) for lv in self.levels)
-
-    def level(self, j: int) -> _TableLevel:
-        while len(self.levels) < j:
-            self.levels.append(_TableLevel(len(self.levels) + 1))
-        return self.levels[j - 1]
-
-    def block(self, starts: Dict[int, int], bits: int, seq: int) -> int:
-        """Decode a value sequence, then memoise its class block."""
-        digit = (1 << bits) - 1
-        letters = []
-        c = seq
-        while c:
-            letters.append(c & digit)
-            c >>= bits
-        letters.reverse()
-        start = starts[seq] = self.level(len(letters)).block(flatten(letters))
-        return start
-
-
-_MEMO = _TableMemo()
-
-
 #: The plan serves tables of patterns up to this length ...
 _PLAN_MAX_M = 5
 #: ... in words with at most this many position sets of sizes 1..max_m.
@@ -420,9 +330,6 @@ def pattern_table(w: Word, max_m: int) -> Dict[Tuple[Tuple[int, ...], int], int]
     ten-letter words the plan still wins at 40,000.  Words with n < 6
     take 10-20 us either way.  A plan within the limit holds under about
     1 MB, and the 16 most recent are kept.
-
-    Thread safety: plans are read-only once built, and the scan holds its
-    memo's lock for its finishing pass.
     """
     letters = w.letters
     if not letters or max_m < 1:
@@ -432,6 +339,17 @@ def pattern_table(w: Word, max_m: int) -> Dict[Tuple[Tuple[int, ...], int], int]
     if m <= _PLAN_MAX_M and sum(comb(n, j) for j in range(1, m + 1)) <= _PLAN_ROW_LIMIT:
         return _plan_table(letters, m)
     return _scan_table(letters, m)
+
+
+def _hyphenations(nonadj: int, adj: int) -> Iterator[int]:
+    """The hyphen masks a subsequence feeds: every mask that holds its
+    non-adjacent gaps ``nonadj`` and any of its adjacent gaps ``adj``."""
+    sub = adj
+    while True:
+        yield nonadj | sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & adj
 
 
 @lru_cache(maxsize=_PLAN_MAX_M)
@@ -495,14 +413,9 @@ def _plan(n: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             row = len(base)
             base.append((j - 1) * size + size // 2)
             nonadj = sum(1 << (g - 1) for g in range(1, j) if pos[g] > pos[g - 1] + 1)
-            adj = gaps & ~nonadj
-            sub = adj
-            while True:
+            for h in _hyphenations(nonadj, gaps & ~nonadj):
                 src.append(row)
-                hyph.append(nonadj | sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & adj
+                hyph.append(h)
     arrays = (
         np.array(pairs, dtype=np.intp).reshape(len(base), len(slots)),
         np.array(base, dtype=np.intp),
@@ -541,25 +454,24 @@ def _scan_table(letters: Tuple[int, ...], max_m: int) -> Dict[Tuple[Tuple[int, .
     the previous letter, since only those can grow adjacently; states of
     length max_m leave the scan.  The work is O(n * states).
 
-    The finishing pass maps each state to its class and sums the counts
-    per class, then feeds each class's hyphenations.  The class of every
-    value sequence and each class's key ids are memoised across calls,
-    built on first use and emptied whenever they hold more than
-    _TABLE_MEMO_LIMIT entries at the start of a call.
+    The finishing pass flattens each distinct value sequence once, sums
+    the counts per class (flattened letters, adjacency mask), then feeds
+    each class's hyphenations into the table.  It keeps nothing between
+    calls.
     """
-    top = max(max_m, 1)
     bits = max(letters).bit_length()
+    digit = (1 << bits) - 1
     done: Dict[int, int] = {}
     # index j: states of length j that end before the previous letter / at it
-    older: List[Dict[int, int]] = [{} for _ in range(top)]
-    end_prev: List[Dict[int, int]] = [{} for _ in range(top)]
-    adjacent = [1 << ((j - 1) + bits * (j + 1)) for j in range(top)]
+    older: List[Dict[int, int]] = [{} for _ in range(max_m)]
+    end_prev: List[Dict[int, int]] = [{} for _ in range(max_m)]
+    adjacent = [1 << ((j - 1) + bits * (j + 1)) for j in range(max_m)]
     for x in letters:
-        new_end: List[Dict[int, int]] = [{} for _ in range(top)]
-        first = new_end[1] if top > 1 else done
+        new_end: List[Dict[int, int]] = [{} for _ in range(max_m)]
+        first = new_end[1] if max_m > 1 else done
         first[x] = first.get(x, 0) + 1
-        for j in range(1, top):
-            grown = new_end[j + 1] if j + 1 < top else done
+        for j in range(1, max_m):
+            grown = new_end[j + 1] if j + 1 < max_m else done
             grown_get = grown.get
             pool = older[j]
             for s, cnt in pool.items():
@@ -573,36 +485,28 @@ def _scan_table(letters: Tuple[int, ...], max_m: int) -> Dict[Tuple[Tuple[int, .
                 pool[s] = pool_get(s, 0) + cnt
         end_prev = new_end
 
-    memo = _MEMO
     table: Dict[Tuple[Tuple[int, ...], int], int] = {}
-    with memo.lock:
-        if memo.size() > _TABLE_MEMO_LIMIT:
-            memo.reset()
-        starts = memo.starts.setdefault(bits, {})
-        starts_get = starts.get
-        for j in range(1, top + 1):
-            shift = bits * j
-            seq_mask = (1 << shift) - 1
-            per_class: Dict[int, int] = {}
-            per_class_get = per_class.get
-            for pool in (done,) if j == top else (older[j], end_prev[j]):
-                for s, cnt in pool.items():
-                    seq = s & seq_mask
-                    start = starts_get(seq)
-                    if start is None:
-                        start = memo.block(starts, bits, seq)
-                    cid = start + (s >> shift)
-                    per_class[cid] = per_class_get(cid, 0) + cnt
-            if not per_class:
-                continue
-            level = memo.level(j)
-            spread = level.spread
-            counts: Dict[int, int] = {}
-            counts_get = counts.get
-            for cid, cnt in per_class.items():
-                for i in spread[cid] or level.expand(cid):
-                    counts[i] = counts_get(i, 0) + cnt
-            table.update(zip(map(level.keys.__getitem__, counts), counts.values()))
+    table_get = table.get
+    for j in range(1, max_m + 1):
+        shift = bits * j
+        seq_mask = (1 << shift) - 1
+        gaps = (1 << (j - 1)) - 1
+        places = range(shift - bits, -1, -bits)
+        flats: Dict[int, Tuple[int, ...]] = {}  # value sequence -> class letters
+        per_class: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        per_class_get = per_class.get
+        for pool in (done,) if j == max_m else (older[j], end_prev[j]):
+            for s, cnt in pool.items():
+                seq = s & seq_mask
+                flat = flats.get(seq)
+                if flat is None:
+                    flat = flats[seq] = flatten([(seq >> t) & digit for t in places])
+                key = (flat, s >> shift)
+                per_class[key] = per_class_get(key, 0) + cnt
+        for (flat, adj), cnt in per_class.items():
+            for h in _hyphenations(gaps & ~adj, adj):
+                key = (flat, h)
+                table[key] = table_get(key, 0) + cnt
     return table
 
 

@@ -447,6 +447,25 @@ class TestSuper:
         assert err == (f"wordpack: error: -l {l} -m {m} is past the largest universe "
                        "a universality check takes, 131072 patterns\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("super", "-l", "1", "-m", "1200"),
+            ("construct", "--builder", "super-word", "-l", "1", "-m", "100000"),
+        ],
+    )
+    def test_one_letter_length_limit(self, capsys, argv):
+        """A one-letter universe holds one pattern, but its words have m
+        letters: an m past MAX_SEARCH_N is refused in one line (the search
+        recursed once per letter, and the builder's time grew as m^2)."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        m = argv[argv.index("-m") + 1]
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"wordpack: error: -m {m} is above the longest pattern "
+                       "a universality check takes, 500\n")
+
     def test_largest_universes_pass(self):
         """(2, 17) and (7, 7) are the largest universes the limit keeps, and
         no universe it keeps has a level m of more than 2^22 bits."""
@@ -457,7 +476,7 @@ class TestSuper:
             cli._check_universe(l, m)
             assert l ** m <= 1 << 22
         assert (2, 17) in kept and (7, 7) in kept and (3, 11) not in kept
-        cli._check_universe(1, 10 ** 6)  # one letter: one pattern
+        cli._check_universe(1, search.MAX_SEARCH_N)  # one letter: one pattern
         cli._check_universe(20, 7)  # (7, 7)
 
 

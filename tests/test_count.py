@@ -259,6 +259,9 @@ class TestPatternTable:
             k = rng.randint(1, 9)
             letters = tuple(rng.randint(1, k) for _ in range(n))
             cases.append((letters, rng.randint(1, 5)))
+        # words the scan takes (n >= 22 at m = 4): one wide, one narrow
+        cases.append((tuple(rng.randint(1, 60) for _ in range(24)), 4))
+        cases.append((tuple(rng.randint(1, 3) for _ in range(26)), 4))
         expect = [oracles.naive_table(letters, m) for letters, m in cases]
         for order in (cases, cases[::-1], cases[::2] + cases[1::2]):
             for letters, m in order:
@@ -314,22 +317,13 @@ class TestPatternTable:
             assert pattern_table(Word(letters), max_m) == oracles.naive_table(letters, max_m), n
         assert ran == ["_plan_table", "_scan_table"]
 
-    def test_memo_stays_bounded_across_many_words(self):
-        from wordpack import count
-
+    def test_scan_words_on_wide_alphabets(self):
         rng = random.Random(5)
-        sizes = []
         for _ in range(16):
             # words the scan takes (too many position sets for the plan), on
-            # wide alphabets: each brings thousands of new value sequences
+            # wide alphabets: each brings thousands of distinct value sequences
             letters = tuple(rng.randint(1, 60) for _ in range(24))
-            got = pattern_table(Word(letters), 4)
-            assert got == oracles.naive_table(letters, 4), letters
-            sizes.append(count._MEMO.size())
-        assert any(b < a for a, b in zip(sizes, sizes[1:])), "memo never emptied"
-        # one call adds at most C(24,1) + ... + C(24,4) sequences and the
-        # 659 keys of patterns up to length 4
-        assert max(sizes) <= count._TABLE_MEMO_LIMIT + 12950 + 659
+            assert pattern_table(Word(letters), 4) == oracles.naive_table(letters, 4), letters
 
 
 class TestTiebreak:
