@@ -55,6 +55,7 @@ from .density import (
     three_letter_table,
 )
 from .construct import (
+    MAX_CONSTRUCT_N,
     Construction,
     balanced_monotone_word,
     layered_word,
@@ -519,16 +520,23 @@ def _parse_proportions(text: str) -> Tuple[Fraction, ...]:
 
 
 def _require(builder: str, **needed: Optional[object]) -> None:
-    missing = [flag for flag, value in needed.items() if value is None]
+    """Refuse a missing flag, or a size above MAX_CONSTRUCT_N (-l and -m
+    have _check_universe's limits), naming the flag."""
+    flags = {name: f"-{name}" if name in ("n", "k", "l", "m") else f"--{name}" for name in needed}
+    missing = [flags[name] for name, value in needed.items() if value is None]
     if missing:
-        flags = ", ".join(f"--{name.replace('_', '-')}" for name in missing)
-        raise UsageError(f"builder {builder!r} requires {flags}")
+        raise UsageError(f"builder {builder!r} requires {', '.join(missing)}")
+    for name, value in needed.items():
+        if isinstance(value, int) and name not in ("l", "m") and value > MAX_CONSTRUCT_N:
+            raise UsageError(
+                f"{flags[name]} {value} is above the largest size construct takes, {MAX_CONSTRUCT_N}"
+            )
 
 
 def _build(config: RunConfig) -> Construction:
     b = config.builder
     if b == "balanced":
-        _require(b, n=config.n, k=config.k)
+        _require(b, n=config.n, k=config.k, ident=config.ident)
         return balanced_monotone_word(config.n, config.k, config.ident)
     if b == "pqr":
         _require(b, p=config.p, q=config.q, r=config.r, n=config.n)

@@ -47,6 +47,10 @@ __all__ = [
 
 WeightLike = Union[int, float, Fraction]
 
+#: the largest size flag the command line's construct takes: the recount of
+#: sqrt_layer_perm(n) grows as n^2 and takes about 5 s at this n
+MAX_CONSTRUCT_N = 10_000
+
 
 @dataclass(frozen=True)
 class Construction:

@@ -1,12 +1,14 @@
 """Asymptotic packing densities of patterns in words.
 
-Every routine here evaluates a closed form or solves a one-dimensional root
-problem attached to a specific structural route:
+Every routine here evaluates a closed form, brackets a polynomial root or
+maximizes a polynomial, attached to a specific structural route:
 
 * simple layered shapes: an exact product formula;
-* two layers with a singleton: the root of k*a^(k+1) - (k+1)*a + 1;
+* two layers with a singleton: the root of k*a^(k+1) - (k+1)*a + 1, proven
+  between two dyadic rationals by integer sign checks;
 * ones-block / rise / ones-block patterns: a multinomial closed form, or for
-  a single rise the coupled root of (1-s*x)^(s+1) = 1 - (s+1)*x;
+  a single rise the coupled root of (1-s*x)^(s+1) = 1 - (s+1)*x, the same
+  root after a = 1 - s*x;
 * capped layer counts: maximization of the occurrence polynomial over the
   probability simplex by a monotone growth transform, run from every start
   at once as the rows of one array, the best eight then Newton-refined
@@ -15,7 +17,7 @@ problem attached to a specific structural route:
 * subword (all-adjacent) patterns: the minimal self-overlap shift M, whose
   reciprocal is the density.
 
-Exact answers are Fractions; solved roots carry explicit error bounds.
+Exact answers are Fractions; the single-rise bracket proves its error bound.
 The classifier asymptotic_density picks the route from pattern structure
 alone and refuses honestly when no route applies.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import ceil, comb, factorial, floor, ldexp, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -85,66 +87,50 @@ def simple_layered_density(shape: LayeredShape) -> DensityValue:
     return DensityValue(val, "simple layered product formula", aux={"shape": lengths})
 
 
-def _k1_polynomial(k: int, a: float) -> float:
-    return k * a ** (k + 1) - (k + 1) * a + 1
+def _single_rise_root(k: int) -> Tuple[int, int]:
+    """Numerators lo < hi over 2^64 bracketing the root below 1/k of
+    P(a) = k*a^(k+1) - (k+1)*a + 1 (k >= 2), proven by integer signs.
 
+    P is convex on [0, 1] with P(0) = 1, P(1/k) = k^-k - 1/k < 0 and
+    P(1) = 0, so P(lo) > 0 > P(hi) with k*hi <= 2^64 holds its one root
+    below 1/k.  lo and hi widen, by about 2^-48 relative, 64 steps of the
+    contraction a <- (1 + k*a^(k+1))/(k+1) from 1/(k+1) (k*a^k < 1/2)."""
+    a = 1.0 / (k + 1)
+    for _ in range(64):
+        a = (1 + k * a ** (k + 1)) / (k + 1)
+    lo = floor(ldexp(a * (1 - 2.0 ** -48), 64))
+    hi = ceil(ldexp(a * (1 + 2.0 ** -48), 64))
 
-def _solve_bracketed(f, lo: float, hi: float, fprime=None) -> float:
-    """Bisection to near convergence, then a few Newton polish steps."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo < 1e-15:
-            break
-    x = 0.5 * (lo + hi)
-    if fprime is not None:
-        for _ in range(5):
-            d = fprime(x)
-            if d == 0:
-                break
-            step = f(x) / d
-            x -= step
-            if abs(step) < 1e-17:
-                break
-    return x
+    def scaled_p(x: int) -> int:  # P(x / 2^64) * 2^(64(k+1))
+        return k * x ** (k + 1) - ((k + 1) * x << 64 * k) + (1 << 64 * (k + 1))
+
+    if not (0 < lo < hi and k * hi <= 1 << 64 and scaled_p(lo) > 0 > scaled_p(hi)):
+        raise AssertionError(f"single-rise root bracket [{lo}, {hi}]/2^64 fails for k={k}")
+    return lo, hi
 
 
 def k1_density(k: int) -> DensityValue:
     """Density of the pattern made of k equal letters followed by one
-    larger letter: k*a*(1-a)^(k-1) at the root a in (0,1) of
-    k*a^(k+1) - (k+1)*a + 1 (the root a=1 is always present and excluded)."""
+    larger letter: v(a) = k*a*(1-a)^(k-1) at the root a in (0, 1/k) of
+    k*a^(k+1) - (k+1)*a + 1 (the root a=1 is always present and excluded).
+    v rises on [0, 1/k] (v' = k(1-a)^(k-2)(1-k*a)), so the root's bracket
+    gives v(lo) <= value <= v(hi), exact over 2^(64k); the float of their
+    midpoint is within error_bound, proven.  aux["a"] is the bracket's
+    midpoint, aux["residual"] |P(a)| in floats."""
     if k < 1:
         raise ValueError("k must be positive")
     if k == 1:
         return DensityValue(Fraction(1), "two increasing letters pack perfectly")
-    a = _solve_bracketed(
-        lambda x: _k1_polynomial(k, x),
-        1e-12,
-        1 - 1e-9,
-        fprime=lambda x: k * (k + 1) * x ** k - (k + 1),
-    )
-    residual = abs(_k1_polynomial(k, a))
-    if residual > 1e-12:
-        raise RuntimeError(f"root residual {residual} too large for k={k}")
-    val = k * a * (1 - a) ** (k - 1)
+    lo, hi = _single_rise_root(k)
+    v_lo, v_hi = (k * x * ((1 << 64) - x) ** (k - 1) for x in (lo, hi))
+    if (v_hi - v_lo) / (1 << 64 * k) >= 1e-14:
+        raise AssertionError(f"single-rise value bracket too wide for k={k}")
+    a = (lo + hi) / (1 << 65)
     return DensityValue(
-        val,
+        (v_lo + v_hi) / (1 << 64 * k + 1),
         "single-rise root formula",
         error_bound=1e-12,
-        aux={"a": a, "k": k, "residual": residual},
+        aux={"a": a, "k": k, "residual": abs(k * a ** (k + 1) - (k + 1) * a + 1)},
     )
 
 
@@ -170,21 +156,14 @@ def r_s_density(r: int, s: int) -> DensityValue:
 
 def alpha_root(s: int) -> Tuple[float, float]:
     """The nonzero root alpha in (0, 1/s) of (1-s*x)^(s+1) = 1-(s+1)*x,
-    together with a = 1 - s*alpha, which equals the single-rise root for
-    k = s."""
+    together with a = 1 - s*alpha.  Substituting a = 1 - s*x gives
+    s*a^(s+1) - (s+1)*a + 1 = 0, the single-rise polynomial at k = s, so a
+    is the float of _single_rise_root(s)'s midpoint, as in k1_density, and
+    alpha the correctly rounded (1 - midpoint)/s."""
     if s < 2:
         raise ValueError("s must be at least 2")
-
-    def g(x: float) -> float:
-        return (1 - s * x) ** (s + 1) - 1 + (s + 1) * x
-
-    def gprime(x: float) -> float:
-        return -s * (s + 1) * (1 - s * x) ** s + (s + 1)
-
-    alpha = _solve_bracketed(g, 1e-9, 1.0 / s - 1e-12, fprime=gprime)
-    residual = abs(g(alpha))
-    assert residual <= 1e-14, (s, residual)
-    return alpha, 1 - s * alpha
+    lo, hi = _single_rise_root(s)
+    return ((1 << 65) - lo - hi) / (s << 65), (lo + hi) / (1 << 65)
 
 
 def pqr_density(p: int, q: int, r: int) -> DensityValue:
@@ -194,7 +173,8 @@ def pqr_density(p: int, q: int, r: int) -> DensityValue:
     multinomial(p+q+r; p, q, r) * p^p q^q r^r / (p+q+r)^(p+q+r).
     For r = 1 it is the two-block prefactor C(p+q, p) p^p q^q / (p+q)^(p+q)
     times the single-rise density at k = p + q; p = 0 or q = 0 is allowed
-    in that route (but not both).
+    in that route (but not both); its 1e-10 bound holds by k1_density's
+    proven 1e-12 and two roundings.  alpha_root(s) feeds only aux.
     """
     if r < 1 or p < 0 or q < 0:
         raise ValueError("need r >= 1 and p, q >= 0")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wordpack
 from wordpack import cli, density, search, superpattern
@@ -21,6 +24,7 @@ from wordpack.cli import (
     EXIT_USAGE,
     main,
 )
+from wordpack.construct import MAX_CONSTRUCT_N
 from wordpack.search import canonical_count
 
 
@@ -384,6 +388,48 @@ class TestConstruct:
     def test_missing_builder_args(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--builder", "pqr", "-n", "12")
         assert code == EXIT_USAGE and "--p" in err
+        code, _, err = run_cli(capsys, "construct", "--builder", "balanced")
+        assert err == "wordpack: error: builder 'balanced' requires -n, -k\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--builder", "pqr", "--p", "1", "--q", "1", "--r", "2", "-n", "3000000"), "-n"),
+            (("--builder", "pqr", "--p", "1", "--q", "1", "--r", "10001", "-n", "9"), "--r"),
+            (("--builder", "balanced", "-n", "16", "-k", "10001"), "-k"),
+            (("--builder", "balanced", "-n", "16", "-k", "4", "--ident", "10001"), "--ident"),
+            (("--builder", "nested", "--p", "1", "--q", "1",
+              "--s", "99999999999999999999", "--depth", "2", "-n", "10"), "--s"),
+            (("--builder", "nested", "--p", "10001", "--q", "1",
+              "--s", "2", "--depth", "2", "-n", "10"), "--p"),
+            (("--builder", "nested", "--p", "1", "--q", "10001",
+              "--s", "2", "--depth", "2", "-n", "10"), "--q"),
+            (("--builder", "nested", "--p", "1", "--q", "1",
+              "--s", "2", "--depth", "10001", "-n", "10"), "--depth"),
+            (("--builder", "layered", "--proportions", "1,2", "-n", "10001"), "-n"),
+            (("--builder", "twelve-one", "-n", "10", "--d", "10001"), "--d"),
+            (("--builder", "sqrt-layers", "-n", "10001"), "-n"),
+        ],
+    )
+    def test_size_limits(self, capsys, monkeypatch, argv, flag):
+        """Every size flag above MAX_CONSTRUCT_N is refused in one line that
+        names it, before any builder runs."""
+        def build(*args):
+            raise AssertionError("a builder started on a refused input")
+
+        for name in ("balanced_monotone_word", "pqr_word", "nested_word",
+                     "layered_word", "twelve_one_word", "sqrt_layer_perm"):
+            monkeypatch.setattr(cli, name, build)
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"wordpack: error: {flag} ")
+        assert f"{MAX_CONSTRUCT_N}" in err and len(err.splitlines()) == 1
+
+    def test_size_limit_itself_is_built(self, capsys):
+        code, env = run_json(capsys, "construct", "--builder", "twelve-one",
+                             "-n", str(MAX_CONSTRUCT_N), "--d", str(MAX_CONSTRUCT_N // 2))
+        assert code == EXIT_OK and env["result"]["n"] == MAX_CONSTRUCT_N
+        assert env["result"]["verified"] is True
 
     def test_super_word_checks_universality(self, capsys):
         code, env = run_json(
@@ -731,3 +777,90 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert exc.value.code == EXIT_USAGE
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+#: drawn for an integer flag one time in eight: none of them lies between
+#: the small values drawn otherwise and the size limits, so no draw is slow
+EDGES = ("0", "-1", "-9", str(10 ** 30), "", "x", "1.5")
+PATTERNS = ("12", "121", "132", "1122", "11112", "12-1", "1-2-1", "121g", "2143", "1" * 20 + "2")
+BAD_PATTERNS = ("", "x", "1--2", "-1", "12-")
+
+
+def _drawn(good, bad):
+    """One of the good values, or one time in eight a bad one."""
+    good, bad = tuple(good), tuple(bad)
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+def _ints(*small):
+    return _drawn(map(str, small), EDGES)
+
+
+_PATTERN = _drawn(PATTERNS, BAD_PATTERNS)
+
+#: per subcommand, each flag with the values it is drawn from and whether
+#: it is drawn as required (construct's builders each require a few)
+GRAMMAR = {
+    "count": {"-p": (_PATTERN, True), "-k": (_ints(3, 6), False),
+              "-w": (_drawn(("213322", "1" * 40 + "2"), ("", "12a", "1-2", "0")), True)},
+    "density": {"-p": (_PATTERN, True), "--route": (_drawn(cli._ROUTES, ("bogus",)), False),
+                "--ell": (_ints(2, 3, 4), False), "--starts": (_ints(1, 8), False),
+                "--seed": (_ints(7), False)},
+    "search": {"-p": (_PATTERN, True), "-k": (_ints(2, 3, 7), True), "-n": (_ints(3, 5, 7), True),
+               "--budget-seconds": (_drawn(("5",), ("0", "-1", "nan", "inf", "", "x")), False),
+               "--threads": (_ints(1, 2), False)},
+    "series": {"-p": (_PATTERN, True), "-k": (_ints(2, 3), False),
+               "--n-range": (_drawn(("3:5", "4:4", "2:6"), ("5:3", "0:3", "3:", ":", "a:b", "",
+                                                          "3:501", f"3:{10 ** 30}")), True)},
+    "construct": {"--builder": (_drawn(cli._BUILDERS, ("bogus",)), True),
+                  "--emit": (_drawn(("word", "json"), ("x",)), False),
+                  "-n": (_ints(1, 5, 12), True), "-k": (_ints(1, 3), True),
+                  "-l": (_ints(2, 3), True), "-m": (_ints(2, 3, 4), True),
+                  "--p": (_ints(1, 2), True), "--q": (_ints(1, 2), True),
+                  "--r": (_ints(1, 2), True), "--s": (_ints(2, 3, 4), True),
+                  "--depth": (_ints(1, 3), True), "--d": (_ints(1, 3), True),
+                  "--ident": (_ints(1, 3), False),
+                  "--proportions": (_drawn(("1,2", "1/3,2/3", "0.5,0.5"),
+                                           ("", ",", "1,-1", "0,0", "1/0", "a")), True),
+                  "--mode": (_drawn(("permutation", "word"), ("x",)), False),
+                  "-p": (_PATTERN, False)},
+    "super": {"-l": (_ints(1, 2, 3, 4), True), "-m": (_ints(1, 2, 3, 4), True),
+              "--threads": (_ints(1, 2), False)},
+    "table3": {},
+    "verify": {"--suite": (_drawn(("all", *cli._SUITES), ("bogus",)), False),
+               "--seed": (_ints(7), False)},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and its flags, each with a drawn value: a required flag
+    seven times in eight, another flag half the time.  The searching
+    subcommands always get --budget-nodes, and the valid values drawn for
+    it are small."""
+    sub = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [sub]
+    for flag, (values, required) in GRAMMAR[sub].items():
+        if draw(st.integers(0, 7)) >= (1 if required else 4):
+            argv += [flag, draw(values)]
+    if sub in ("search", "series", "super"):
+        argv += ["--budget-nodes", draw(_drawn(("1", "100", "3000"), ("0", "-1", "", "x")))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(_drawn(("table", "json", "csv"), ("xml", "")))]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Any argv from the grammar exits 0, 1 or 2 with at most one stderr
+    line and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
+    text = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET), (argv, code, text)
+    assert len(text.splitlines()) <= 1 and "Traceback" not in text, (argv, text)

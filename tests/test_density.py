@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -92,6 +94,26 @@ class TestSingleRise:
         vals = [float(k1_density(k).value) for k in range(2, 10)]
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("k", [*range(2, 13), 100_000])
+    def test_within_error_bound_of_decimal_bisection(self, k):
+        """An 80-digit decimal bisection of k*a^(k+1) - (k+1)*a + 1 on
+        [0, 1/k], then k*a*(1-a)^(k-1) at the last midpoint: the float value
+        lies within its stated error bound.  At k = 100,000 a float
+        evaluation of (1-a)^(k-1) alone errs by about 2e-12."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            kd, lo, hi = Decimal(k), Decimal(0), 1 / Decimal(k)
+            for _ in range(280):
+                mid = (lo + hi) / 2
+                if kd * mid ** (k + 1) - (kd + 1) * mid + 1 > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            a = (lo + hi) / 2
+            want = kd * a * (1 - a) ** (k - 1)
+            dv = k1_density(k)
+            assert abs(Decimal(dv.value) - want) <= Decimal(dv.error_bound), k
+
 
 class TestTwoBlock:
     def test_exact_values(self):
@@ -134,7 +156,7 @@ class TestAlphaRoot:
     def test_coupling_to_single_rise(self):
         for s in range(2, 9):
             alpha, a = alpha_root(s)
-            assert abs(a - k1_density(s).aux["a"]) <= 1e-10, s
+            assert a == k1_density(s).aux["a"], s
 
     def test_series_approximation(self):
         for s in range(3, 9):
@@ -279,8 +301,8 @@ class TestCapGradient:
 
     @pytest.mark.parametrize("lengths, ell", SHAPES)
     def test_points_with_zero_coordinates(self, lengths, ell):
-        """The points support_newton builds: zero off a support, the last
-        support coordinate taking the remainder."""
+        """The points _CapPolynomial.refine builds: zero off a support,
+        the last support coordinate taking the remainder."""
         rng = np.random.default_rng(7)
         points = np.zeros((2 * ell, ell))
         for row in points:
