@@ -522,15 +522,14 @@ def _parse_proportions(text: str) -> Tuple[Fraction, ...]:
 def _require(builder: str, **needed: Optional[object]) -> None:
     """Refuse a missing flag, or a size above MAX_CONSTRUCT_N (-l and -m
     have _check_universe's limits), naming the flag."""
-    flags = {name: f"-{name}" if name in ("n", "k", "l", "m") else f"--{name}" for name in needed}
+    flags = {name: ("-" if name in ("n", "k", "l", "m") else "--") + name for name in needed}
     missing = [flags[name] for name, value in needed.items() if value is None]
     if missing:
         raise UsageError(f"builder {builder!r} requires {', '.join(missing)}")
     for name, value in needed.items():
         if isinstance(value, int) and name not in ("l", "m") and value > MAX_CONSTRUCT_N:
-            raise UsageError(
-                f"{flags[name]} {value} is above the largest size construct takes, {MAX_CONSTRUCT_N}"
-            )
+            raise UsageError(f"{flags[name]} {value} is above the largest size "
+                             f"construct takes, {MAX_CONSTRUCT_N}")
 
 
 def _build(config: RunConfig) -> Construction:
