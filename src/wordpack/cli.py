@@ -506,12 +506,24 @@ def _cmd_series(config: RunConfig) -> Tuple[int, _Report]:
     return EXIT_OK if exhaustive else EXIT_BUDGET, report
 
 
+#: the largest decimal exponent, in absolute value, of a --proportions
+#: entry: Fraction computes 10**exponent (1e10000000 takes 14 s), and
+#: CPython already refuses a mantissa of more digits than this
+MAX_PROPORTION_EXPONENT = 4300
+
+
 def _parse_proportions(text: str) -> Tuple[Fraction, ...]:
     parts = [s.strip() for s in text.split(",") if s.strip()]
     if not parts:
         raise UsageError("--proportions needs a comma-separated list")
     out = []
     for part in parts:
+        _, e, exp = part.lower().rpartition("e")
+        digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+                len(digits) > 4 or int(digits) > MAX_PROPORTION_EXPONENT):
+            raise UsageError(f"--proportions entry {part!r} has an exponent above "
+                             f"{MAX_PROPORTION_EXPONENT} in absolute value")
         try:
             out.append(Fraction(part))
         except (ValueError, ZeroDivisionError):

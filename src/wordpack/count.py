@@ -125,28 +125,22 @@ class AutomatonTables:
     states.
 
     Slot 0 is a zero slot that never holds a count; slots 1.. hold the
-    states, ordered by the least v such that a word over 1..v reaches
-    them, so the states that words over 1..v reach fill the first
-    ``alive[v]`` slots (their kept values are all <= v).  A row is a
-    vector of counts over the slots, and ``start`` is the row of the empty
-    word: 1 at each pattern's empty match.  Feeding the letter x to a row
-    r gives the row ``r[keep] + r[src[x - 1]].sum(-1)`` and completes
-    ``r @ complete[:, x - 1]`` matches, where
+    states.  A row is a vector of counts over the slots, and ``start`` is
+    the row of the empty word: 1 at each pattern's empty match.  Feeding
+    the letter x to a row r gives the row ``r[keep] + r[src[x - 1]].sum(-1)``
+    and completes ``r @ complete[:, x - 1]`` matches, where
 
     - ``keep[s]`` is s for a free state and 0 for a hot one;
     - ``src[x - 1, s]`` lists the states that x extends to s, in
       increasing order and padded with the zero slot.  A state may have
       several: states that differ only in a value x's step reads for the
-      last time, such as the 1 of ``123`` when x matches its 2.  So a
-      source of a state within ``alive[v]`` may sit past it, keeping a
-      value above v that x makes it forget;
+      last time, such as the 1 of ``123`` when x matches its 2;
     - ``complete[s, x - 1]`` is 1 when x completes the match of s.
 
     ``pattern[s]`` (-1 at slot 0) and ``level[s]`` (the j of the state)
-    describe each slot.  The states order by (least v, pattern, state), so
-    a row of the tables for a smaller cap' is the row of these tables cut
-    to their first ``alive[cap']`` slots, and ``grow`` extends the tables
-    to more letters without renumbering a slot.
+    describe each slot.  ``grow`` extends the tables to more letters and
+    renumbers no slot, so a row made before growth, padded with zeros to
+    the new slot count, is the row the grown tables give the same word.
 
     The tables come from Automaton._run itself, so the rule for which
     letters extend a state is written once: each state is fed each letter
@@ -169,7 +163,6 @@ class AutomatonTables:
         self.complete = np.zeros((size, 0), dtype=np.int8)
         self.start = np.ones(size, dtype=np.int64)
         self.start[0] = 0
-        self.alive = np.array([size], dtype=np.intp)
         self.grow(cap)
 
     def grow(self, cap: int) -> None:
@@ -180,26 +173,25 @@ class AutomatonTables:
         old = self.cap
         if cap <= old:
             return
-        need: Dict[tuple, int] = {}  # per new state (pattern, key), the least v
+        new = set()  # the new states, (pattern, key)
         edges = []  # (letter, state, source state)
         completed = []  # (state, letter)
         for i, auto in enumerate(self._automata):
             levels = self._levels[i]
             for j, states in enumerate(levels):
                 for key in states:
-                    at = need.get((i, key), 0)  # 0 for an old state, fed new letters only
-                    for x in range(1 if at else old + 1, cap + 1):
+                    # an old state is fed the new letters only
+                    for x in range(1 if (i, key) in new else old + 1, cap + 1):
                         auto.free, auto.hot = {key: 1}, {}
                         if auto._run((x,)):
                             completed.append(((i, key), x))
                         for reached in (*itertools.islice(auto.free, 1, None), *auto.hot):
                             state = (i, reached)
-                            if state not in self._slot:
-                                if state not in need:
-                                    levels[j + 1].append(reached)
-                                need[state] = min(need.get(state, cap), max(at, x))
+                            if state not in self._slot and state not in new:
+                                new.add(state)
+                                levels[j + 1].append(reached)
                             edges.append((x, state, (i, key)))
-        found = sorted(need, key=lambda state: (need[state], state))
+        found = sorted(new)
         size = len(self.keep)
         slots = range(size, size + len(found))
         self._slot.update(zip(found, slots))
@@ -220,8 +212,6 @@ class AutomatonTables:
         for state, x in completed:
             complete[self._slot[state], x - 1] = 1
         self.complete = complete
-        self.alive = np.append(self.alive, size + np.searchsorted(
-            [need[state] for state in found], np.arange(old + 1, cap + 1), side="right"))
         self.cap = cap
 
 

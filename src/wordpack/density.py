@@ -603,10 +603,6 @@ def _classical_layered_route(shape: LayeredShape) -> DensityValue:
         return DensityValue(
             Fraction(1), "monotone pattern packs perfectly", aux={"shape": lengths}
         )
-    if r == 1:
-        return DensityValue(
-            Fraction(1), "single-layer pattern packs perfectly", aux={"shape": lengths}
-        )
     if r == 2 and lengths[1] == 1:
         dv = k1_density(lengths[0])
         return DensityValue(

@@ -208,8 +208,9 @@ class _BranchAndBound:
     visits them in lex order.  The tables cover the letters up to
     tables.cap and grow to x when the search first reaches a larger
     letter x, so a budgeted run on a wide pattern compiles only the states
-    it can meet.  Slots keep their numbers as the tables grow, so the rows
-    already made stay valid."""
+    it can meet.  Growth renumbers no slot, so a row made before it,
+    padded with zeros, is still the row of its prefix: _expand pads it
+    and reads every slot."""
 
     def __init__(
         self,
@@ -244,56 +245,43 @@ class _BranchAndBound:
     def _tabulate(self, letters: int) -> None:
         """Grow the tables to the letters 1..letters and derive, per slot,
         keep repeated for every letter (so the gathers in _expand take one
-        shape and add without broadcasting), the weighted occurrences each
-        letter completes (gain) and, per rem, the weighted ways to complete
-        its match among rem letters, in the column of its pattern
-        (reach).  The source columns cut to a slots (_cut) are made again
-        on first use."""
+        shape and add without broadcasting), the columns of tables.src
+        that hold a source, the weighted occurrences each letter completes
+        (gain) and, per rem, the weighted ways to complete its match among
+        rem letters, in the column of its pattern (reach)."""
         tables = self.tables
         tables.grow(letters)
         self.keep = np.tile(tables.keep, (letters, 1))
-        self.cuts: Dict[int, List[np.ndarray]] = {}
-        self.alive = tables.alive.tolist()
+        self.src = [np.ascontiguousarray(tables.src[:, :, i])
+                    for i in range(tables.src.shape[2]) if tables.src[:, :, i].any()]
         weight = self.weights[tables.pattern]
         self.gain = tables.complete * weight[:, None]
         own = tables.pattern[:, None] == np.arange(len(self.weights))
         self.reach = [own * (ways[tables.level] * weight)[:, None] for ways in self.ways]
 
     def _expand(
-        self, t: int, row: np.ndarray, cur: int, a: int, last: int
+        self, t: int, row: np.ndarray, cur: int, last: int
     ) -> Tuple[List[int], Optional[List[int]], Optional[np.ndarray]]:
         """Children x = 1..last of a prefix of length t with count cur and
-        the given row, whose states and its children's lie in the first a
-        slots: the count of each and, unless they are complete words, each
-        one's bound and row.  The bound is the most any completion can
-        count: every later occurrence extends one partial match with j
-        letters matched (the empty one included) by m - j of the rem
-        letters left, and at most the placements that reach past the
-        prefix do, per pattern; weights are nonnegative, so the cap can be
-        taken after weighting."""
-        if len(row) < a:  # made before the tables grew
-            row = np.concatenate((row, np.zeros(a - len(row), dtype=row.dtype)))
-        v = row[:a]
-        counts = [cur + g for g in v.dot(self.gain[:a, :last]).tolist()]
+        the given row: the count of each and, unless they are complete
+        words, each one's bound and row.  The bound is the most any
+        completion can count: every later occurrence extends one partial
+        match with j letters matched (the empty one included) by m - j of
+        the rem letters left, and at most the placements that reach past
+        the prefix do, per pattern; weights are nonnegative, so the cap can
+        be taken after weighting."""
+        size = len(self.tables.keep)
+        if len(row) < size:  # made before the tables grew
+            row = np.concatenate((row, np.zeros(size - len(row), dtype=row.dtype)))
+        counts = [cur + g for g in row.dot(self.gain[:, :last]).tolist()]
         if t + 1 == self.n:
             return counts, None, None
-        kids = v[self.keep[:last, :a]]
-        cols = self.cuts.get(a)
-        for src in self._cut(a) if cols is None else cols:
-            kids += v[src[:last]]
-        reach = kids.dot(self.reach[self.n - t - 1][:a])
+        kids = row[self.keep[:last]]
+        for src in self.src:
+            kids += row[src[:last]]
+        reach = kids.dot(self.reach[self.n - t - 1])
         np.minimum(reach, self.cap_at[t + 1], out=reach)
         return counts, [c + sum(r) for c, r in zip(counts, reach.tolist())], kids
-
-    def _cut(self, a: int) -> List[np.ndarray]:
-        """The columns of tables.src cut to the first a slots, each one
-        (letters, a) array, with the sources at slot a or past it read as
-        the zero slot: no row expanded over a slots holds a count there."""
-        src = self.tables.src[:, :a]
-        src = np.where(src < a, src, 0)
-        cols = self.cuts[a] = [np.ascontiguousarray(src[:, :, i])
-                               for i in range(src.shape[2]) if src[:, :, i].any()]
-        return cols
 
     def run(self) -> bool:
         """Search the whole tree; False when the budget stopped it."""
@@ -316,9 +304,7 @@ class _BranchAndBound:
                 if x > self.tables.cap:
                     self._tabulate(x)
                 lim = min(last, self.tables.cap)
-                # a child's states use no value above max(maxv, lim)
-                counts, bounds, kids = self._expand(
-                    t, row, cur, self.alive[max(maxv, lim)], lim)
+                counts, bounds, kids = self._expand(t, row, cur, lim)
             if bounds is None:
                 # only strict gains, in lex order, keep the witnesses lex-least
                 i = newd if self.per_d else 0
@@ -446,8 +432,6 @@ def _vector_by_alphabet(
     perd: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     for d in range(1, cap + 1):
         idx = np.flatnonzero(dcnt == d)
-        if idx.size == 0:
-            continue
         pos = idx[int(np.argmax(counts[idx]))]  # the first maximum, lex-least
         perd[d] = (int(counts[pos]), tuple(int(v) for v in words[pos]))
     return perd, int(words.shape[0]), True, scale
@@ -493,11 +477,9 @@ def max_count_by_alphabet(
     ps: Union[Pattern, WeightedPatternSet],
     n: int,
     budget: Optional[SearchBudget] = None,
-    threads: int = 1,
 ) -> Dict[int, SearchResult]:
     """Maximum weighted count among canonical words of length n using
-    exactly d distinct letters, for every d, in one sweep.  ``threads`` is
-    accepted for compatibility and has no effect."""
+    exactly d distinct letters, for every d, in one sweep."""
     ps = _as_set(ps)
     perd, nodes, exhaustive, scale = _by_alphabet(ps, n, n, budget, True)
     return {
@@ -545,10 +527,9 @@ def delta_series(
     n_range: Sequence[int],
     k: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
-    threads: int = 1,
 ) -> SeriesReport:
     """Exact density table over n_range (diagonal k=n when k is None), one
-    max_count result per n.  ``threads`` has no effect."""
+    max_count result per n."""
     rows = [max_count(ps, n if k is None else k, n, budget) for n in sorted(n_range)]
     violations = []
     for a, b in zip(rows, rows[1:]):

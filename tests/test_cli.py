@@ -425,6 +425,37 @@ class TestConstruct:
         assert err.startswith(f"wordpack: error: {flag} ")
         assert f"{MAX_CONSTRUCT_N}" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--builder", "pqr", "--p", "1", "--q", "1", "--r", "2", "-n", "12"),
+        ("--builder", "nested", "--p", "1", "--q", "1", "--s", "2", "--depth", "2", "-n", "20"),
+    ], ids=["pqr", "nested"])
+    def test_builder_recounts_its_prediction(self, capsys, argv):
+        code, env = run_json(capsys, "construct", *argv)
+        assert code == EXIT_OK and env["result"]["verified"] is True
+        assert env["result"]["recounts"] == env["result"]["predicted_counts"]
+
+    def test_wide_word_is_comma_separated(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "--builder", "sqrt-layers", "-n", "16",
+                               "--emit", "word")
+        assert code == EXIT_OK
+        assert out == "4,3,2,1,8,7,6,5,12,11,10,9,16,15,14,13\n"
+
+    @pytest.mark.parametrize("entry", ["1e99999999", "1e-99999999", "2E+4301", "1e43_01"])
+    def test_huge_proportion_exponent_is_refused(self, capsys, entry):
+        """Fraction would compute 10**exponent first (1e10000000 takes 14 s)."""
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "construct", "--builder", "layered",
+                                 "--proportions", f"1,{entry}", "-n", "5")
+        assert time.monotonic() - started < 0.5
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"wordpack: error: --proportions entry {entry!r} has an exponent "
+                       f"above {cli.MAX_PROPORTION_EXPONENT} in absolute value\n")
+
+    def test_largest_proportion_exponent_is_read(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "--builder", "layered",
+                               "--proportions", "1e-4300,1e4300", "-n", "5", "--emit", "word")
+        assert code == EXIT_OK and out == "54321\n"
+
     def test_size_limit_itself_is_built(self, capsys):
         code, env = run_json(capsys, "construct", "--builder", "twelve-one",
                              "-n", str(MAX_CONSTRUCT_N), "--d", str(MAX_CONSTRUCT_N // 2))
@@ -778,6 +809,15 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
         assert err.startswith(message) and len(err.splitlines()) == 1
 
+    def test_failed_invariant_exits_3(self, capsys, monkeypatch):
+        def handler(config):
+            raise AssertionError("x")
+
+        monkeypatch.setitem(cli._HANDLERS, "count", handler)
+        code, out, err = run_cli(capsys, "count", "-p", "12", "-w", "12")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "wordpack: internal invariant failure: x\n"
+
 
 #: drawn for an integer flag one time in eight: none of them lies between
 #: the small values drawn otherwise and the size limits, so no draw is slow
@@ -821,7 +861,8 @@ GRAMMAR = {
                   "--depth": (_ints(1, 3), True), "--d": (_ints(1, 3), True),
                   "--ident": (_ints(1, 3), False),
                   "--proportions": (_drawn(("1,2", "1/3,2/3", "0.5,0.5"),
-                                           ("", ",", "1,-1", "0,0", "1/0", "a")), True),
+                                           ("", ",", "1,-1", "0,0", "1/0", "a",
+                                            "1e99999999", "1e-99999999")), True),
                   "--mode": (_drawn(("permutation", "word"), ("x",)), False),
                   "-p": (_PATTERN, False)},
     "super": {"-l": (_ints(1, 2, 3, 4), True), "-m": (_ints(1, 2, 3, 4), True),

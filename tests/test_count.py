@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,10 +168,7 @@ class TestAutomaton:
                 count += int(row @ tables.complete[:, op - 1])
                 row = row[tables.keep] + row[tables.src[op - 1]].sum(-1)
             assert count == oracles.naive_count(letters, gaps, prefix)
-            # the zero slot stays empty, and the states a prefix reaches
-            # fill the first alive[v] slots, v its largest letter
-            assert row[0] == 0
-            assert not row[tables.alive[max(prefix, default=0)]:].any()
+            assert row[0] == 0  # the zero slot stays empty
 
     @pytest.mark.parametrize("text, k, slots", [
         ("2143", 8, 38), ("121", 8, 17), ("1122", 8, 25), ("13524", 12, 345), ("123456", 14, 62),
@@ -183,28 +182,36 @@ class TestAutomaton:
         "texts", [("132",), ("1-2-1", "12-1"), ("21-3", "11-2"), ("1122",), ("123", "2431")])
     def test_smaller_cap_is_a_cut(self, texts):
         """Branch and bound grows its tables with the largest letter it
-        reaches and keeps the rows it made: the row the tables for 3
-        letters give any prefix over 1..3 is the row of the tables for 5
-        cut to their first alive[3] slots, and growing the tables to 5
-        letters gives the tables for 5."""
+        reaches and keeps the rows it made: growing the tables from 3
+        letters to 5 keeps every old slot's pattern, level, keep and start,
+        and the row a prefix over 1..3 had before growth, padded with
+        zeros, is its row after growth, cut to the old slots.  Pushing any
+        letter 1..5 onto it counts what the oracle counts."""
         patterns = [parse_pattern(t) for t in texts]
-        small, big = AutomatonTables(patterns, 3), AutomatonTables(patterns, 5)
-        a = big.alive[3]
-        assert small.alive.tolist() == big.alive[:4].tolist() and len(small.keep) == a
-        for name in ("pattern", "level", "keep", "start"):
-            assert getattr(small, name).tolist() == getattr(big, name)[:a].tolist(), name
-        assert small.complete.tolist() == big.complete[:a, :3].tolist()
-        rows = [(small.start, big.start)]
-        for _ in range(5):
-            pushed = []
-            for row, cut in rows:
-                assert row.tolist() == cut[:a].tolist() and not cut[a:].any()
-                pushed += [(row[small.keep] + row[small.src[x - 1]].sum(-1),
-                            cut[big.keep] + cut[big.src[x - 1]].sum(-1)) for x in (1, 2, 3)]
-            rows = pushed
-        small.grow(5)
-        for name in ("alive", "pattern", "level", "keep", "start", "src", "complete"):
-            assert getattr(small, name).tolist() == getattr(big, name).tolist(), name
+        tables = AutomatonTables(patterns, 3)
+        old = {name: getattr(tables, name).copy() for name in ("pattern", "level", "keep", "start")}
+        size = len(tables.keep)
+        before = {(): tables.start}
+        for prefix in itertools.chain.from_iterable(
+                itertools.product((1, 2, 3), repeat=t) for t in range(1, 5)):
+            row = before[prefix[:-1]]
+            before[prefix] = row[tables.keep] + row[tables.src[prefix[-1] - 1]].sum(-1)
+        tables.grow(5)
+        for name, values in old.items():
+            assert getattr(tables, name)[:size].tolist() == values.tolist(), name
+        after = {(): tables.start}
+        for prefix, made in before.items():
+            if prefix:
+                row = after[prefix[:-1]]
+                after[prefix] = row[tables.keep] + row[tables.src[prefix[-1] - 1]].sum(-1)
+            padded = np.concatenate((made, np.zeros(len(tables.keep) - size, dtype=made.dtype)))
+            assert padded.tolist() == after[prefix].tolist(), prefix
+            for x in range(1, 6):
+                grown = prefix + (x,)
+                expect = sum(oracles.naive_count(p.letters, p.hyphens, grown)
+                             - oracles.naive_count(p.letters, p.hyphens, prefix)
+                             for p in patterns)
+                assert int(padded @ tables.complete[:, x - 1]) == expect, grown
 
 
 class TestPatternTable:

@@ -421,8 +421,8 @@ class TestBranchAndBoundAgainstSweep:
         bounds = {}
 
         class Recording(search._BranchAndBound):
-            def _expand(self, t, row, cur, a, last):
-                counts, bnds, kids = super()._expand(t, row, cur, a, last)
+            def _expand(self, t, row, cur, last):
+                counts, bnds, kids = super()._expand(t, row, cur, last)
                 if bnds is not None:
                     for x, b, c in zip(range(1, last + 1), bnds, counts):
                         bounds[(*self.prefix, x)] = (b, c)
