@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, factorial, floor, ldexp, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,6 +88,7 @@ def simple_layered_density(shape: LayeredShape) -> DensityValue:
     return DensityValue(val, "simple layered product formula", aux={"shape": lengths})
 
 
+@lru_cache(maxsize=16)  # pqr_density reads it twice, through k1_density and alpha_root
 def _single_rise_root(k: int) -> Tuple[int, int]:
     """Numerators lo < hi over 2^64 bracketing the root below 1/k of
     P(a) = k*a^(k+1) - (k+1)*a + 1 (k >= 2), proven by integer signs.

@@ -24,7 +24,7 @@ Containment is tracked as bitsets.  Over the letters 1..b, level j of a
 word is one int whose bit (a_1 - 1) + (a_2 - 1)*b + ... + (a_j - 1)*b^(j-1)
 is set when (a_1, ..., a_j) is the values of a length-j subsequence.
 Appending x ORs each level j - 1, shifted left by (x - 1)*b^(j-1), into
-level j.  Flattened classes are memoised per (b, j), as indices in base b.
+level j.  One table per (b, j) holds each tuple's flattened class.
 
 Pruning is admissible on two counts: a missing pattern whose longest
 contained prefix leaves more letters to place than remain kills the
@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import comb
-from operator import mul
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from .core import Pattern, Word, flatten
 from .construct import superpattern_word
@@ -63,8 +64,10 @@ __all__ = [
 
 #: the largest universe the CLI's super and super-word builder take:
 #: (7, 7) has 47,293 patterns and (8, 8) 545,835.  Every (l, m) within it
-#: also keeps level m of is_universal to min(l, m)^m <= 2^22 bits.
+#: also keeps min(l, m)^m within MAX_LEVEL_BITS.
 MAX_UNIVERSE = 1 << 17
+#: the most bits of a level m, and entries of its class table, a check takes
+MAX_LEVEL_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -127,36 +130,38 @@ def pattern_universe(l: int, m: int) -> UniverseSpec:
     return _universe_cached(min(l, m), m)
 
 
-#: (b, j) -> {tuple index -> class index}; safe to share, as a class never changes
-_CLASSES: Dict[Tuple[int, int], Dict[int, int]] = {}
-_CLASS_MEMO_LIMIT = 1 << 16
 #: the set bits of each byte value
 _BYTE_BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
 
 
-def _class_memo(base: int, j: int) -> Dict[int, int]:
-    """The class memo of length-j tuples in base ``base``; all memos are
-    emptied first whenever they hold more than _CLASS_MEMO_LIMIT entries."""
-    if sum(map(len, _CLASSES.values())) > _CLASS_MEMO_LIMIT:
-        _CLASSES.clear()
-    return _CLASSES.setdefault((base, j), {})
+def _check_level(base: int, m: int) -> None:
+    """Refuse base^m > MAX_LEVEL_BITS, and m > 22 over base > 1 without computing base^m."""
+    if base ** min(m, MAX_LEVEL_BITS.bit_length()) > MAX_LEVEL_BITS:
+        raise ValueError(f"level {m} over {base} values has {base}^{m} bits, past 2^22")
 
 
-def _classes(level: int, memo: Dict[int, int], base: int, j: int) -> List[int]:
-    """Class indices of the length-j value tuples whose bits are set in
-    level, found through memo.  One pass over level's bytes, which skips the
-    zero ones in C, lists the set bits in time linear in the int's size."""
+@lru_cache(maxsize=24)  # a search reads m + 1 tables, and m <= 22 under MAX_LEVEL_BITS
+def _class_table(base: int, j: int) -> List[int]:
+    """Class of every length-j tuple over 1..base, by tuple index.  Built in
+    j blocks of rows, each block's arrays about as large as the table."""
+    size, powers, table = base**j, base ** np.arange(j, dtype=np.int64), []
+    step = -(-size // max(j, 1))
+    for lo in range(0, size, step):
+        digits = np.arange(lo, min(lo + step, size))[:, None] // powers % base
+        order = digits.argsort(axis=1)
+        # a digit's rank is the number of distinct values below it
+        first = np.diff(np.take_along_axis(digits, order, axis=1), axis=1, prepend=-1) != 0
+        np.put_along_axis(digits, order, first.cumsum(axis=1) - 1, axis=1)
+        table += (digits @ powers).tolist()
+    return table
+
+
+def _classes(level: int, table: List[int]) -> List[int]:
+    """Class indices of the value tuples whose bits are set in level, read
+    from its table.  One pass over level's bytes, which skips the zero ones
+    in C, lists the set bits in time linear in the int's size."""
     data = level.to_bytes((level.bit_length() + 7) // 8, "little")
-    indices = [8 * i + k for i in compress(count(), data) for k in _BYTE_BITS[data[i]]]
-    try:
-        return list(map(memo.__getitem__, indices))
-    except KeyError:
-        powers = [base**k for k in range(j)]
-        for i in indices:
-            if i not in memo:
-                values = [i // p % base for p in powers]  # the digits of tuple i
-                memo[i] = sum(map(mul, map(sorted(set(values)).index, values), powers))
-        return list(map(memo.__getitem__, indices))
+    return [table[8 * i + k] for i in compress(count(), data) for k in _BYTE_BITS[data[i]]]
 
 
 def _levels(letters: Tuple[int, ...], base: int, m: int) -> List[int]:
@@ -180,12 +185,13 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     """Whether w classically contains every (l, m) pattern; missing list exact,
     in universe order.  The levels of flatten(w) are built in base d, its
     number of distinct values, so words on more than l values work too; but
-    level m then holds d^m bits, so time and memory grow with d^m (a
-    permutation of 20 at (6, 6) builds 8 MB levels)."""
-    spec = pattern_universe(l, m)
+    level m then holds d^m bits, and time and memory grow with d^m.  A word
+    with d^m > MAX_LEVEL_BITS raises ValueError before anything is built."""
     letters = flatten(w.letters)
     base = max(letters, default=1)
-    found = set(_classes(_levels(letters, base, m)[m], _class_memo(base, m), base, m))
+    _check_level(base, m)
+    spec = pattern_universe(l, m)
+    found = set(_classes(_levels(letters, base, m)[m], _class_table(base, m)))
     indices = _universe_indices(spec.l, m, base)
     missing = tuple(p for p, c in zip(spec.patterns, indices) if c not in found)
     return not missing, missing
@@ -211,7 +217,7 @@ def _search_length(
     # canonical words of each length j on at most l letters: every one
     # is the flattening of some length-j subsequence of a universal word
     full = [canonical_count(j, l) for j in range(m + 1)]
-    memos = [_class_memo(l, j) for j in range(m + 1)]
+    tables = [_class_table(l, j) for j in range(m + 1)]
     shifts = [[(x - 1) * l**j for j in range(m)] for x in range(l + 1)]
 
     def push(levels: List[int], masks: List[int], x: int) -> Tuple[List[int], List[int]]:
@@ -223,7 +229,7 @@ def _search_length(
                 levels[j] |= fresh
                 if masks[j].bit_count() < full[j]:  # a full level gains no class
                     mask = masks[j]
-                    for c in _classes(fresh, memos[j], l, j):
+                    for c in _classes(fresh, tables[j]):
                         mask |= 1 << c
                     masks[j] = mask
         return levels, masks
@@ -290,8 +296,10 @@ def shortest_superpattern(
     out ends the search at the length it is in.  Node budgets therefore
     make every result field, per-length node counts included,
     reproducible; wall-clock budgets make results run-dependent.
-    ``threads`` is accepted for compatibility and has no effect.
+    ``threads`` is accepted for compatibility and has no effect.  As in
+    is_universal, min(l, m)^m > MAX_LEVEL_BITS raises ValueError at once.
     """
+    _check_level(min(l, m), m)
     spec = pattern_universe(l, m)
     upper = superpattern_word(spec.l, m)
     assert is_universal(upper.word, spec.l, m)[0], "constructive word must be universal"
@@ -317,9 +325,8 @@ def shortest_superpattern(
             break
         lower = length + 1
 
-    witness = upper.word if found is None else Word(found)
-    flag, missing = is_universal(witness, spec.l, m)
-    assert flag, f"witness failed re-verification; missing {missing}"
+    witness = upper.word if found is None else Word(found)  # upper is verified above
+    assert found is None or is_universal(witness, spec.l, m)[0], "witness failed re-verification"
     return SuperResult(
         l=spec.l,
         m=spec.m,

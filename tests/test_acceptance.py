@@ -83,12 +83,12 @@ def _timed(fn) -> float:
 # -- bulk table versus direct enumeration ------------------------------------
 
 MAX_M = 4
-_CLASSES: Dict[int, List[Tuple[int, ...]]] = {
+_CLASS_PATTERNS: Dict[int, List[Tuple[int, ...]]] = {
     m: [w.letters for w in enumerate_canonical(m)] for m in range(1, MAX_M + 1)
 }
 _CLASS_ROW: Dict[Tuple[int, ...], Tuple[int, int]] = {
     letters: (m, i)
-    for m, rows in _CLASSES.items()
+    for m, rows in _CLASS_PATTERNS.items()
     for i, letters in enumerate(rows)
 }
 
@@ -110,7 +110,7 @@ def _trit_code(values: Sequence[int]) -> int:
 
 def _order_type_lut(m: int) -> np.ndarray:
     lut = np.full(3 ** comb(m, 2), -1, dtype=np.int16)
-    for i, letters in enumerate(_CLASSES[m]):
+    for i, letters in enumerate(_CLASS_PATTERNS[m]):
         lut[_trit_code(letters)] = i
     return lut
 
@@ -142,7 +142,7 @@ def _naive_tables(arr: np.ndarray) -> Dict[int, np.ndarray]:
     out: Dict[int, np.ndarray] = {}
     rows = np.arange(chunk)
     for m in range(1, min(MAX_M, n) + 1):
-        counts = np.zeros((chunk, len(_CLASSES[m]), 1 << (m - 1)), dtype=np.int16)
+        counts = np.zeros((chunk, len(_CLASS_PATTERNS[m]), 1 << (m - 1)), dtype=np.int16)
         lut = _LUTS[m]
         for subset in itertools.combinations(range(n), m):
             forced = 0

@@ -145,6 +145,14 @@ class TestThreeBlock:
         assert dv.error_bound <= 1e-10
         assert abs(pqr_density(0, 2, 1).value - TWO_RISE) < 1e-12
 
+    def test_single_rise_route_brackets_the_root_once(self):
+        """k1_density and alpha_root both read the bracket at s = p + q;
+        pqr_density computes it once."""
+        for p, q in [(1, 1), (0, 2), (2, 3), (40, 60)]:
+            density._single_rise_root.cache_clear()
+            pqr_density(p, q, 1)
+            assert density._single_rise_root.cache_info().misses == 1, (p, q)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pqr_density(0, 0, 3)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordpack import superpattern
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
 from wordpack.superpattern import (
-    _class_memo,
+    _class_table,
     _classes,
     _levels,
     is_universal,
@@ -156,9 +158,63 @@ class TestBitsetState:
             tuples = set(itertools.combinations(letters, j))
             got = {sum((v - 1) * base**k for k, v in enumerate(t)) for t in tuples}
             assert levels[j] == sum(1 << i for i in got)
-            classes = _classes(levels[j], _class_memo(base, j), base, j) if j else []
+            classes = _classes(levels[j], _class_table(base, j)) if j else []
             decoded = {tuple(c // base**k % base + 1 for k in range(j)) for c in classes}
             assert decoded == ({flatten(t) for t in tuples} if j else set())
+
+    def test_class_table_is_the_flattened_digits(self):
+        """Entry i of the (base, j) table is the flattening of tuple i's
+        digits, read as an index in base ``base``, for every base up to 64
+        and every j with base^j <= 4,096."""
+        for base in range(1, 65):
+            for j in range(13):
+                if base**j > 4096:
+                    break
+                want = []
+                for i in range(base**j):
+                    digits = [i // base**k % base + 1 for k in range(j)]
+                    want.append(sum((v - 1) * base**k for k, v in enumerate(flatten(digits))))
+                assert _class_table(base, j) == want, (base, j)
+
+    def test_wide_word_builds_its_table_once(self):
+        """A word on 20 values at (3, 4) sets up to 160,000 tuples, past the
+        65,536 entries at which a shared memo was once emptied; checking it
+        twice builds its table once."""
+        rng = random.Random(20)
+        letters = list(range(1, 21)) + [rng.randint(1, 20) for _ in range(20)]
+        rng.shuffle(letters)
+        w = Word(tuple(letters))
+        _class_table.cache_clear()
+        first = is_universal(w, 3, 4)
+        assert is_universal(w, 3, 4) == first
+        info = _class_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first[0] == brute_is_universal(letters, 3, 4)
+
+
+class TestLevelBound:
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a level, universe or table was built for a refused input")
+
+        for name in ("_levels", "_universe_cached", "_class_table"):
+            monkeypatch.setattr(superpattern, name, build)
+
+    def test_wide_word_is_refused(self):
+        """A permutation of 20 at (6, 6) would need levels of 20^6 = 64M bits."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"20\^6 bits, past 2\^22"):
+            is_universal(Word(tuple(range(1, 21))), 6, 6)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("l, m", [(8, 8), (2, 10**9)])
+    def test_wide_search_is_refused(self, l, m):
+        """An m past 22 is refused without computing l^m."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"{l}\^{m} bits, past 2\^22"):
+            shortest_superpattern(l, m)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestShortestSuperpattern:
@@ -208,6 +264,21 @@ class TestShortestSuperpattern:
             res = shortest_superpattern(l, m)
             ok, missing = is_universal(res.witness, l, m)
             assert ok and missing == ()
+
+    @pytest.mark.parametrize("budget, checks", [(None, 2), (500, 1)])
+    def test_each_returned_word_is_verified_once(self, monkeypatch, budget, checks):
+        """The constructive word is checked once, at the start; a found
+        witness once more, and a budget-stopped result returns the
+        constructive word without checking it again."""
+        words = []
+
+        def counting(w, l, m):
+            words.append(w)
+            return is_universal(w, l, m)
+
+        monkeypatch.setattr(superpattern, "is_universal", counting)
+        res = shortest_superpattern(3, 4, budget)
+        assert len(words) == checks and words.count(res.witness) == 1
 
     def test_length_within_constructive_bound(self):
         for l, m in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
