@@ -80,7 +80,6 @@ from .construct import (
 from .superpattern import (
     LengthVerdict,
     SuperResult,
-    UniverseSpec,
     is_universal,
     pattern_universe,
     shortest_superpattern,
@@ -155,7 +154,6 @@ __all__ = [
     "twelve_one_word",
     "sqrt_layer_perm",
     # superpattern
-    "UniverseSpec",
     "SuperResult",
     "LengthVerdict",
     "pattern_universe",

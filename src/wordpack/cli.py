@@ -79,7 +79,6 @@ from .search import (
 from .superpattern import (
     MAX_UNIVERSE,
     is_universal,
-    pattern_universe,
     shortest_superpattern,
 )
 
@@ -620,11 +619,11 @@ def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
     budget = _budget(config)
     _check_threads(config)
     res = shortest_superpattern(config.l, config.m, budget)
-    universe = pattern_universe(config.l, config.m)
+    universe_size = canonical_count(res.m, res.l)
     result = {
         "l": res.l,
         "m": res.m,
-        "universe_size": universe.size,
+        "universe_size": universe_size,
         "length": res.length,
         "witness": res.witness,
         "lower_bound": res.lower_bound,
@@ -639,7 +638,7 @@ def _cmd_super(config: RunConfig) -> Tuple[int, _Report]:
     table = {
         "l": res.l,
         "m": res.m,
-        "universe": f"{universe.size} patterns",
+        "universe": f"{universe_size} patterns",
         "length": res.length,
         "witness": res.witness,
         "lower_bound": f"{res.lower_bound}{certified}",

@@ -110,15 +110,6 @@ def _apportion(weights: Sequence[WeightLike], n: int) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
-def _elementary_symmetric(values: Sequence[int], m: int) -> int:
-    """e_m(values), the sum over m-subsets of products."""
-    e = [1] + [0] * m
-    for v in values:
-        for j in range(m, 0, -1):
-            e[j] += e[j - 1] * v
-    return e[m]
-
-
 def _block_word(sizes: Sequence[int], heights: Sequence[int], k: int) -> Word:
     letters = []
     for s, h in zip(sizes, heights):
@@ -152,7 +143,7 @@ def balanced_monotone_word(n: int, k: int, ident: int = 2) -> Construction:
     adj_rise = parse_pattern("11-2")
     adj_count = sum((s - 1) * t for s, t in zip(sizes, tails))
     rising = Pattern.classical(tuple(range(1, ident + 1)))
-    rising_count = _elementary_symmetric(sizes, ident)
+    rising_count = _layered_match_count(rising, sizes, "word")
 
     return Construction(
         word=word,

@@ -105,11 +105,7 @@ def enumerate_canonical(n: int, k: Optional[int] = None) -> Iterator[Word]:
     cap = n if k is None else min(k, n)
     if cap < 1:
         return iter(())
-    total = canonical_count(n, cap)
-    if total > EXHAUSTIVE_WORD_LIMIT:
-        raise ValueError(f"enumerating {total} canonical words; the limit is "
-                         f"{EXHAUSTIVE_WORD_LIMIT}")
-    words, dcnt = _canonical_array(n, cap)
+    words, dcnt = _canonical_rows(n, cap)
     step = 1 << 16  # rows per batch, so the lists of letters stay small
     return itertools.chain.from_iterable(
         map(Word, zip(*words[i:i + step].T.tolist()), dcnt[i:i + step].tolist())
@@ -338,6 +334,16 @@ def _dfs_by_alphabet(
     perd = {i: (c, w) for i, (c, w) in enumerate(zip(search.best, search.bestw))
             if w is not None}
     return perd, search.meter.nodes, exhaustive, scale
+
+
+def _canonical_rows(n: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """_canonical_array(n, cap), or ValueError before it is built when the
+    space holds more than EXHAUSTIVE_WORD_LIMIT words."""
+    total = canonical_count(n, cap)
+    if total > EXHAUSTIVE_WORD_LIMIT:
+        raise ValueError(f"enumerating {total} canonical words; the limit is "
+                         f"{EXHAUSTIVE_WORD_LIMIT}")
+    return _canonical_array(n, cap)
 
 
 @lru_cache(maxsize=32)

@@ -20,6 +20,11 @@ same shortest lengths and least witnesses for (2,2), (2,3), (3,3), (2,4),
 (3,3) are not first-occurrence-canonical.  Larger lengths, (4,4) among
 them, are certified under the restriction.
 
+The universe is the canonical words of length m on at most min(l, m)
+letters.  A check reads it as class indices, from the rows of
+``search._canonical_array``, and builds ``Pattern`` objects only for a
+missing list; a search reads only the universe's size and the indices.
+
 Containment is tracked as bitsets.  Over the letters 1..b, level j of a
 word is one int whose bit (a_1 - 1) + (a_2 - 1)*b + ... + (a_j - 1)*b^(j-1)
 is set when (a_1, ..., a_j) is the values of a length-j subsequence.
@@ -48,12 +53,12 @@ from .search import (
     SearchBudget,
     _BudgetExceeded,
     _Meter,
+    _canonical_rows,
     canonical_count,
     enumerate_canonical,
 )
 
 __all__ = [
-    "UniverseSpec",
     "SuperResult",
     "LengthVerdict",
     "pattern_universe",
@@ -68,19 +73,6 @@ __all__ = [
 MAX_UNIVERSE = 1 << 17
 #: the most bits of a level m, and entries of its class table, a check takes
 MAX_LEVEL_BITS = 1 << 22
-
-
-@dataclass(frozen=True)
-class UniverseSpec:
-    """All patterns of length m on at most l distinct letters."""
-
-    l: int
-    m: int
-    patterns: Tuple[Pattern, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.patterns)
 
 
 @dataclass(frozen=True)
@@ -110,34 +102,31 @@ class SuperResult:
     log: Tuple[LengthVerdict, ...]
 
 
-@lru_cache(maxsize=None)
-def _universe_cached(l: int, m: int) -> UniverseSpec:
-    patterns = tuple(
-        Pattern.classical(w.letters) for w in enumerate_canonical(m, l)
-    )
-    return UniverseSpec(l, m, patterns)
+@lru_cache(maxsize=8)  # read only for missing lists, and a universe can hold millions
+def _universe_cached(l: int, m: int) -> Tuple[Pattern, ...]:
+    return tuple(Pattern.classical(w.letters) for w in enumerate_canonical(m, l))
 
 
-def pattern_universe(l: int, m: int) -> UniverseSpec:
-    """The universe for (l, m), reduced to (m, m) when m <= l.
-
-    A length-m pattern uses at most m distinct letters, so alphabets wider
-    than m add nothing and the shortest-superpattern question coincides
-    with the (m, m) one.
-    """
+def _checked(l: int, m: int, base: int = 1) -> int:
+    """min(l, m), after refusing base^m > MAX_LEVEL_BITS (an m past 22 over
+    base > 1 without computing base^m), then l < 1 or m < 1.  A length-m
+    pattern uses at most m letters, so wider alphabets add nothing."""
+    if base ** min(m, MAX_LEVEL_BITS.bit_length()) > MAX_LEVEL_BITS:
+        raise ValueError(f"level {m} over {base} values has {base}^{m} bits, past 2^22")
     if l < 1 or m < 1:
         raise ValueError(f"need l, m >= 1, got l={l}, m={m}")
-    return _universe_cached(min(l, m), m)
+    return min(l, m)
+
+
+def pattern_universe(l: int, m: int) -> Tuple[Pattern, ...]:
+    """All patterns of length m on at most l distinct letters, in lex order:
+    the (min(l, m), m) universe.  is_universal builds it only for a missing
+    list; the last eight built stay cached."""
+    return _universe_cached(_checked(l, m), m)
 
 
 #: the set bits of each byte value
 _BYTE_BITS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
-
-
-def _check_level(base: int, m: int) -> None:
-    """Refuse base^m > MAX_LEVEL_BITS, and m > 22 over base > 1 without computing base^m."""
-    if base ** min(m, MAX_LEVEL_BITS.bit_length()) > MAX_LEVEL_BITS:
-        raise ValueError(f"level {m} over {base} values has {base}^{m} bits, past 2^22")
 
 
 @lru_cache(maxsize=24)  # a search reads m + 1 tables, and m <= 22 under MAX_LEVEL_BITS
@@ -176,9 +165,12 @@ def _levels(letters: Tuple[int, ...], base: int, m: int) -> List[int]:
 
 @lru_cache(maxsize=64)
 def _universe_indices(l: int, m: int, base: int) -> Tuple[int, ...]:
-    """Class index in base ``base`` of each (l, m) pattern; -1 if it has more letters."""
-    return tuple(sum((v - 1) * base**k for k, v in enumerate(p.letters))
-                 if max(p.letters) <= base else -1 for p in pattern_universe(l, m).patterns)
+    """Class index in base ``base`` of each (l, m) pattern, l <= m, in
+    universe order; -1 if it has more letters.  A universe of more than
+    EXHAUSTIVE_WORD_LIMIT patterns raises ValueError before it is read."""
+    words, dcnt = _canonical_rows(m, l)
+    index = (words - 1).astype(np.int64) @ base ** np.arange(m, dtype=np.int64)
+    return tuple(np.where(dcnt <= base, index, -1).tolist())
 
 
 def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
@@ -186,19 +178,21 @@ def is_universal(w: Word, l: int, m: int) -> Tuple[bool, Tuple[Pattern, ...]]:
     in universe order.  The levels of flatten(w) are built in base d, its
     number of distinct values, so words on more than l values work too; but
     level m then holds d^m bits, and time and memory grow with d^m.  A word
-    with d^m > MAX_LEVEL_BITS raises ValueError before anything is built."""
+    with d^m > MAX_LEVEL_BITS raises ValueError before anything is built.  A
+    universal word is answered from class indices; only a missing list
+    builds the universe's ``Pattern`` objects (pattern_universe)."""
     letters = flatten(w.letters)
     base = max(letters, default=1)
-    _check_level(base, m)
-    spec = pattern_universe(l, m)
+    l = _checked(l, m, base)
     found = set(_classes(_levels(letters, base, m)[m], _class_table(base, m)))
-    indices = _universe_indices(spec.l, m, base)
-    missing = tuple(p for p, c in zip(spec.patterns, indices) if c not in found)
-    return not missing, missing
+    indices = _universe_indices(l, m, base)
+    if found.issuperset(indices):
+        return True, ()
+    return False, tuple(p for p, c in zip(_universe_cached(l, m), indices) if c not in found)
 
 
 def _search_length(
-    spec: UniverseSpec, length: int, meter: _Meter, reverse: bool
+    l: int, m: int, length: int, meter: _Meter, reverse: bool
 ) -> Optional[Tuple[int, ...]]:
     """Exhaustive DFS for a universal word of one length, ticking meter once
     per node (it raises _BudgetExceeded when the budget runs out).  The roots
@@ -211,7 +205,6 @@ def _search_length(
     bitmask of the classes present; its popcount is how many there are.
     A push returns the child's state, looking up the fresh bits only.
     """
-    l, m = spec.l, spec.m
     comb_row = [comb(t, m) for t in range(length + 1)]
     total_sets = comb(length, m)
     # canonical words of each length j on at most l letters: every one
@@ -299,16 +292,15 @@ def shortest_superpattern(
     ``threads`` is accepted for compatibility and has no effect.  As in
     is_universal, min(l, m)^m > MAX_LEVEL_BITS raises ValueError at once.
     """
-    _check_level(min(l, m), m)
-    spec = pattern_universe(l, m)
-    upper = superpattern_word(spec.l, m)
-    assert is_universal(upper.word, spec.l, m)[0], "constructive word must be universal"
+    l = _checked(l, m, min(l, m))
+    upper = superpattern_word(l, m)
+    assert is_universal(upper.word, l, m)[0], "constructive word must be universal"
     if isinstance(budget, int):
         budget = SearchBudget(max_nodes=budget)
     meter = _Meter(budget)
 
-    lower = spec.m
-    while comb(lower, spec.m) < spec.size:
+    lower, size = m, canonical_count(m, l)
+    while comb(lower, m) < size:
         lower += 1
 
     log: List[LengthVerdict] = []
@@ -316,7 +308,7 @@ def shortest_superpattern(
     for length in range(lower, upper.word.n + 1):
         before = meter.nodes
         try:
-            found = _search_length(spec, length, meter, reverse_shards)
+            found = _search_length(l, m, length, meter, reverse_shards)
             verdict = "exhausted" if found is None else "witness"
         except _BudgetExceeded:
             verdict = "inconclusive"
@@ -326,10 +318,10 @@ def shortest_superpattern(
         lower = length + 1
 
     witness = upper.word if found is None else Word(found)  # upper is verified above
-    assert found is None or is_universal(witness, spec.l, m)[0], "witness failed re-verification"
+    assert found is None or is_universal(witness, l, m)[0], "witness failed re-verification"
     return SuperResult(
-        l=spec.l,
-        m=spec.m,
+        l=l,
+        m=m,
         length=witness.n,
         witness=witness,
         lower_bound=min(lower, witness.n),

@@ -494,6 +494,18 @@ class TestSuper:
         assert env["result"]["length"] == 13  # constructive fallback
         assert env["result"]["lower_bound"] == 9
 
+    def test_budget_stopped_search_builds_no_universe(self, capsys, monkeypatch):
+        """(2, 17) has 131,071 patterns; a budget-stopped search returns the
+        constructive word, checked against class indices alone."""
+        def build(*args):
+            raise AssertionError("the Pattern universe was built")
+
+        monkeypatch.setattr(superpattern, "_universe_cached", build)
+        code, env = run_json(capsys, "super", "-l", "2", "-m", "17", "--budget-nodes", "10")
+        assert code == EXIT_BUDGET
+        assert env["result"]["witness"] == "12" * 16 + "1"
+        assert env["result"]["universe_size"] == 131071
+
     def test_csv_not_supported(self, capsys):
         code, _, err = run_cli(capsys, "super", "-l", "2", "-m", "2", "--format", "csv")
         assert code == EXIT_USAGE

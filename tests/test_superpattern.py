@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordpack import superpattern
+from wordpack import search, superpattern
 from wordpack.core import Pattern, Word, flatten
 from wordpack.search import SearchBudget, canonical_count
 from wordpack.superpattern import (
     _class_table,
     _classes,
     _levels,
+    _universe_indices,
     is_universal,
     pattern_universe,
     shortest_superpattern,
@@ -26,9 +27,8 @@ from wordpack.construct import superpattern_word
 
 def brute_is_universal(letters, l, m):
     """Independent universality check from first principles."""
-    spec = pattern_universe(l, m)
     found = {flatten(c) for c in itertools.combinations(letters, m)}
-    return all(p.letters in found for p in spec.patterns)
+    return all(p.letters in found for p in pattern_universe(l, m))
 
 
 def brute_shortest(l, m, max_len=12):
@@ -43,15 +43,15 @@ def brute_shortest(l, m, max_len=12):
 
 class TestPatternUniverse:
     def test_two_two(self):
-        spec = pattern_universe(2, 2)
-        texts = {"".join(map(str, p.letters)) for p in spec.patterns}
+        universe = pattern_universe(2, 2)
+        texts = {"".join(map(str, p.letters)) for p in universe}
         assert texts == {"11", "12", "21"}
-        assert spec.size == 3
+        assert len(universe) == 3
 
     def test_three_three_count_and_members(self):
-        spec = pattern_universe(3, 3)
-        assert spec.size == 13
-        texts = {"".join(map(str, p.letters)) for p in spec.patterns}
+        universe = pattern_universe(3, 3)
+        assert len(universe) == 13
+        texts = {"".join(map(str, p.letters)) for p in universe}
         assert texts == {
             "111", "112", "121", "122", "211", "212", "221",
             "123", "132", "213", "231", "312", "321",
@@ -60,17 +60,17 @@ class TestPatternUniverse:
     def test_size_matches_canonical_count(self):
         for l in range(1, 5):
             for m in range(1, 5):
-                spec = pattern_universe(l, m)
-                assert spec.size == canonical_count(m, min(l, m))
+                universe = pattern_universe(l, m)
+                assert len(universe) == canonical_count(m, min(l, m))
 
     def test_wide_alphabet_reduces(self):
         assert pattern_universe(5, 3) is pattern_universe(3, 3)
-        assert pattern_universe(7, 2).size == 3
+        assert len(pattern_universe(7, 2)) == 3
 
     def test_patterns_are_classical_and_lex_sorted(self):
-        spec = pattern_universe(3, 3)
-        assert all(p.is_classical for p in spec.patterns)
-        letters = [p.letters for p in spec.patterns]
+        universe = pattern_universe(3, 3)
+        assert all(p.is_classical for p in universe)
+        letters = [p.letters for p in universe]
         assert letters == sorted(letters)
 
     def test_rejects_bad_arguments(self):
@@ -123,7 +123,7 @@ class TestIsUniversal:
     )
     def test_matches_brute_force_with_missing_list(self, letters, l, m):
         found = {flatten(c) for c in itertools.combinations(letters, m)}
-        want = tuple(p for p in pattern_universe(l, m).patterns if p.letters not in found)
+        want = tuple(p for p in pattern_universe(l, m) if p.letters not in found)
         ok, missing = is_universal(Word(tuple(letters)), l, m)
         assert ok == brute_is_universal(letters, l, m) == (want == ())
         assert missing == want
@@ -138,7 +138,7 @@ class TestIsUniversal:
             letters += [rng.randint(1, values) for _ in range(n - values)]
             rng.shuffle(letters)
             found = {flatten(c) for c in itertools.combinations(letters, 4)}
-            want = tuple(p for p in pattern_universe(4, 4).patterns if p.letters not in found)
+            want = tuple(p for p in pattern_universe(4, 4) if p.letters not in found)
             ok, missing = is_universal(Word(tuple(letters)), 4, 4)
             assert ok == brute_is_universal(letters, 4, 4) == (want == ())
             assert missing == want
@@ -215,6 +215,57 @@ class TestLevelBound:
         with pytest.raises(ValueError, match=rf"{l}\^{m} bits, past 2\^22"):
             shortest_superpattern(l, m)
         assert time.perf_counter() - start < 0.5
+
+
+class TestUniverseIndices:
+    def test_indices_are_the_patterns_class_indices(self):
+        """Read from the canonical rows, each (l, m) pattern's index in base
+        ``base`` is its letters' flattened index, or -1 past base letters."""
+        for m in range(1, 6):
+            for l in range(1, m + 1):
+                for base in range(1, 7):
+                    want = tuple(
+                        sum((v - 1) * base**k for k, v in enumerate(p.letters))
+                        if max(p.letters) <= base else -1
+                        for p in pattern_universe(l, m)
+                    )
+                    assert _universe_indices(l, m, base) == want, (l, m, base)
+
+
+class TestNoPatternUniverse:
+    """A universal check, a search and a refusal build no Pattern universe."""
+
+    @pytest.fixture(autouse=True)
+    def no_universe(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the Pattern universe was built")
+
+        monkeypatch.setattr(superpattern, "_universe_cached", build)
+
+    def test_universal_word(self):
+        assert is_universal(superpattern_word(7, 7).word, 7, 7) == (True, ())
+
+    def test_search_certifies(self):
+        res = shortest_superpattern(3, 4)
+        assert res.witness == Word(tuple(map(int, "1231231213"))) and res.lower_bound_certified
+
+    def test_oversize_universe_is_refused_before_its_rows(self, monkeypatch):
+        """(10, 10) has 102,247,563 patterns, past the 8,000,000-word limit
+        on canonical rows, though a two-letter word's level 10 is small."""
+        def rows(*args):
+            raise AssertionError("the canonical rows were built")
+
+        monkeypatch.setattr(search, "_canonical_array", rows)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="102247563 canonical words; the limit is 8000000"):
+            is_universal(Word((1, 2)), 10, 10)
+        assert time.perf_counter() - start < 0.5
+
+    def test_bad_arguments_keep_their_message(self):
+        with pytest.raises(ValueError, match=r"need l, m >= 1, got l=0, m=3"):
+            shortest_superpattern(0, 3)
+        with pytest.raises(ValueError, match=r"need l, m >= 1, got l=2, m=0"):
+            is_universal(Word((1, 2)), 2, 0)
 
 
 class TestShortestSuperpattern:
